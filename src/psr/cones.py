@@ -1,78 +1,68 @@
 """Rational polyhedral cones via the double description method.
 
-A cone is stored in canonical double description: a lineality basis in
-reduced row echelon form, extreme rays reduced modulo the lineality space
-and scaled to primitive integer vectors, and the facet inequalities
-obtained by running the same canonicalisation on the dual.  Two cones are
-equal iff their canonical forms coincide, so structural equality is exact.
+A cone is stored in canonical double description.  Its extreme rays are
+reduced modulo the lineality space and scaled to primitive integer
+vectors (tuples of int); its facets are the same canonical rays of the
+dual cone.  The lineality basis (`lines`) and the equations of the linear
+span (`span_eqs`, the dual's lineality) are reduced row echelon rows of
+Fraction, so `dim()` is `dim_ambient - len(span_eqs)`.  Two cones are
+equal iff their canonical forms coincide, so structural equality is exact;
+ints compare, hash and print like integral Fractions.
+
+`Cone.from_ineqs` and `Cone.from_rays` are memoized, each in an LRU cache
+of `_CACHE_SIZE` cones keyed on (dim, frozenset of the input vectors made
+primitive, zero vectors dropped): order, duplicates and positive scaling
+of the input change neither the key nor the cone.  The double description
+method runs only on a miss; a cached `Cone` is a frozen dataclass of
+tuples, shared by every caller.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from fractions import Fraction
-from math import gcd
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .errors import SizeLimit
 from .linalg import (
     Vec,
-    ZERO,
     as_vec,
     dot,
-    in_span,
     is_zero,
-    lex_positive,
     neg,
     primitive,
-    rank,
     reduce_mod,
     rref,
-    scale,
-    sub,
     zero,
 )
 
+_CACHE_SIZE = 512
 
-def _int_primitive(v: Sequence) -> tuple[int, ...]:
-    """Primitive integer representative of a nonzero rational direction."""
-    den = 1
-    for x in v:
-        d = x.denominator if isinstance(x, Fraction) else 1
-        den = den * d // gcd(den, d)
-    ints = [int(x * den) if isinstance(x, Fraction) else x * den for x in v]
-    g = 0
-    for t in ints:
-        g = gcd(g, t)
-    if g > 1:
-        ints = [t // g for t in ints]
-    return tuple(ints)
+IntVec = tuple[int, ...]
 
 
-def _idot(a: tuple[int, ...], b: tuple[int, ...]) -> int:
+def _idot(a: IntVec, b: IntVec) -> int:
     return sum(x * y for x, y in zip(a, b))
 
 
-def _dd_from_ineqs(dim: int, ineqs: list[Vec]) -> tuple[list[Vec], list[Vec]]:
+def _dd_from_ineqs(dim: int, ineqs: Iterable[IntVec]) -> tuple[list[IntVec], list[IntVec]]:
     """Double description of {x : a.x >= 0 for a in ineqs}.
 
-    Returns (lineality basis, extreme rays).  Starts from all of R^dim and
-    cuts one halfspace at a time; while lineality is present, a violated
-    line is rotated into the ray set, after which the usual adjacency
-    splitting applies in the pointed quotient.  All arithmetic is
-    fraction-free on primitive integer vectors: generators are
+    The inequalities are nonzero primitive integer vectors.  Returns
+    (lineality basis, extreme rays), both primitive integer vectors.
+    Starts from all of R^dim and cuts one halfspace at a time; while
+    lineality is present, a violated line is rotated into the ray set,
+    after which the usual adjacency splitting applies in the pointed
+    quotient.  All arithmetic is fraction-free: generators are
     scale-invariant, so every update may be rescaled.
     """
-    lines: list[tuple[int, ...]] = [
+    lines: list[IntVec] = [
         tuple(int(i == j) for j in range(dim)) for i in range(dim)
     ]
-    rays: list[tuple[int, ...]] = []
-    processed: list[tuple[int, ...]] = []
-    for a_frac in ineqs:
-        if is_zero(a_frac):
-            continue
-        a = _int_primitive(a_frac)
+    rays: list[IntVec] = []
+    processed: list[IntVec] = []
+    for a in ineqs:
         # try to clear the inequality with a lineality generator
         pivot_obj = next((l for l in lines if _idot(a, l) != 0), None)
         if pivot_obj is not None:
@@ -89,12 +79,12 @@ def _dd_from_ineqs(dim: int, ineqs: list[Vec]) -> tuple[list[Vec], list[Vec]]:
                     continue
                 nl = tuple(pa * x - al * y for x, y in zip(l, pivot))
                 if any(x != 0 for x in nl):
-                    new_lines.append(_int_primitive(nl))
+                    new_lines.append(primitive(nl))
             lines = new_lines
             new_rays = []
             for r in rays:
                 ar = _idot(a, r)
-                nr = r if ar == 0 else _int_primitive(
+                nr = r if ar == 0 else primitive(
                     tuple(pa * x - ar * y for x, y in zip(r, pivot)))
                 new_rays.append(nr)
             rays = new_rays
@@ -116,17 +106,13 @@ def _dd_from_ineqs(dim: int, ineqs: list[Vec]) -> tuple[list[Vec], list[Vec]]:
             ap, an = _idot(a, rp), _idot(a, rn)
             cand = tuple(ap * x - an * y for x, y in zip(rn, rp))
             if any(x != 0 for x in cand):
-                new_rays.append(_int_primitive(cand))
+                new_rays.append(primitive(cand))
         rays = new_rays
         processed.append(a)
-    to_frac = lambda v: tuple(Fraction(x) for x in v)  # noqa: E731
-    return [to_frac(l) for l in lines], [to_frac(r) for r in rays]
+    return lines, rays
 
 
-def _adjacent(
-    r1: tuple[int, ...], r2: tuple[int, ...],
-    rays: list[tuple[int, ...]], ineqs: list[tuple[int, ...]],
-) -> bool:
+def _adjacent(r1: IntVec, r2: IntVec, rays: list[IntVec], ineqs: list[IntVec]) -> bool:
     """Combinatorial adjacency test for two extreme rays of the current cone.
 
     Valid whenever the ray list is exactly the extreme rays modulo the
@@ -141,39 +127,78 @@ def _adjacent(
     return True
 
 
+def _key(vecs: Iterable[Sequence]) -> frozenset[IntVec]:
+    """The memo key's vector set: primitive, nonzero, unordered."""
+    return frozenset(p for p in (primitive(tuple(v)) for v in vecs) if any(p))
+
+
+def _reduced(rays: list[IntVec], lin: list[Vec]) -> tuple[IntVec, ...]:
+    """Sorted distinct nonzero primitive representatives modulo span(lin)."""
+    if lin:
+        rays = [primitive(reduce_mod(r, lin)) for r in rays]
+    return tuple(sorted({r for r in rays if any(r)}))
+
+
+def _canonical(
+    dim: int,
+    ineqs: list[IntVec],
+    dual: tuple[list[IntVec], list[IntVec]] | None = None,
+) -> "Cone":
+    """Canonical form of {x : a.x >= 0 for a in ineqs}; `dual` is the
+    double description of the dual cone when the caller already has it."""
+    lines, rays = _dd_from_ineqs(dim, ineqs)
+    lin = rref(lines)
+    ext = _reduced(rays, lin)
+    if dual is None:
+        # facet description: canonicalise the dual cone's generators
+        dual = _dd_from_ineqs(dim, list(ext) + lines + [neg(l) for l in lines])
+    d_lines, d_rays = dual
+    d_lin = rref(d_lines)
+    return Cone(dim, tuple(lin), ext, _reduced(d_rays, d_lin), tuple(d_lin))
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _cone_from_ineqs(dim: int, key: frozenset[IntVec]) -> "Cone":
+    return _canonical(dim, list(key))
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _cone_from_rays(dim: int, key: frozenset[IntVec]) -> "Cone":
+    # facets of the cone = rays of the dual = {a : a.r >= 0 for all r}
+    d_lines, d_rays = _dd_from_ineqs(dim, key)
+    facet_ineqs = d_rays + d_lines + [neg(l) for l in d_lines]
+    return _canonical(dim, facet_ineqs, dual=(d_lines, d_rays))
+
+
 @dataclass(frozen=True)
 class Cone:
     """Rational polyhedral cone in R^n, canonical double description."""
 
     dim_ambient: int
     lines: tuple[Vec, ...]
-    extreme_rays: tuple[Vec, ...]
-    facets: tuple[Vec, ...]  # inequalities a with a.x >= 0 on the cone
+    extreme_rays: tuple[IntVec, ...]
+    facets: tuple[IntVec, ...]  # inequalities a with a.x >= 0 on the cone
     span_eqs: tuple[Vec, ...]  # equalities cutting out the linear span
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def from_rays(rays: Iterable[Sequence], dim: int | None = None) -> "Cone":
-        rs = [as_vec(r) for r in rays]
+        rs = list(rays)
         if dim is None:
             if not rs:
                 raise ValueError("dimension required for a cone with no generators")
             dim = len(rs[0])
-        rs = [r for r in rs if not is_zero(r)]
-        # facets of the cone = rays of the dual = {a : a.r >= 0 for all r}
-        lines_d, rays_d = _dd_from_ineqs(dim, rs)
-        facet_ineqs = rays_d + [l for l in lines_d] + [neg(l) for l in lines_d]
-        return Cone._canonical(dim, facet_ineqs, dual_hint=(lines_d, rays_d))
+        return _cone_from_rays(dim, _key(rs))
 
     @staticmethod
     def from_ineqs(ineqs: Iterable[Sequence], dim: int | None = None) -> "Cone":
-        a_list = [as_vec(a) for a in ineqs]
+        a_list = list(ineqs)
         if dim is None:
             if not a_list:
                 raise ValueError("dimension required for a cone with no inequalities")
             dim = len(a_list[0])
-        return Cone._canonical(dim, a_list)
+        return _cone_from_ineqs(dim, _key(a_list))
 
     @staticmethod
     def full_space(dim: int) -> "Cone":
@@ -183,41 +208,13 @@ class Cone:
     def origin(dim: int) -> "Cone":
         return Cone.from_rays([], dim=dim)
 
-    @staticmethod
-    def _canonical(
-        dim: int,
-        ineqs: list[Vec],
-        dual_hint: tuple[list[Vec], list[Vec]] | None = None,
-    ) -> "Cone":
-        lines, rays = _dd_from_ineqs(dim, ineqs)
-        lin = rref(lines)
-        red = {primitive(reduce_mod(r, lin)) for r in rays}
-        red.discard(zero(dim))
-        # drop any ray that became a lineality representative duplicate
-        ext = tuple(sorted(red))
-        lin_t = tuple(lin)
-        # facet description: canonicalise the dual cone's generators
-        if dual_hint is not None:
-            d_lines, d_rays = dual_hint
-        else:
-            gens = list(ext) + list(lin_t) + [neg(l) for l in lin_t]
-            d_lines, d_rays = _dd_from_ineqs(dim, gens)
-        d_lin = rref(d_lines)
-        d_red = {primitive(reduce_mod(r, d_lin)) for r in d_rays}
-        d_red.discard(zero(dim))
-        facets = tuple(sorted(d_red))
-        span_eqs = tuple(d_lin)
-        return Cone(dim, lin_t, ext, facets, span_eqs)
-
     # -- basic queries -------------------------------------------------
 
     @property
-    def rays(self) -> tuple[Vec, ...]:
+    def rays(self) -> tuple[IntVec, ...]:
         """Generators: extreme rays plus both signs of each lineality vector."""
-        both = tuple(primitive(l) for l in self.lines) + tuple(
-            primitive(neg(l)) for l in self.lines
-        )
-        return self.extreme_rays + both
+        both = tuple(primitive(l) for l in self.lines)
+        return self.extreme_rays + both + tuple(neg(l) for l in both)
 
     @property
     def ineqs(self) -> tuple[Vec, ...]:
@@ -225,7 +222,7 @@ class Cone:
         return self.facets + self.span_eqs + tuple(neg(e) for e in self.span_eqs)
 
     def dim(self) -> int:
-        return rank(list(self.extreme_rays) + list(self.lines))
+        return self.dim_ambient - len(self.span_eqs)
 
     def is_full_dim(self) -> bool:
         return self.dim() == self.dim_ambient

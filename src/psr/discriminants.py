@@ -15,10 +15,10 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .cones import Cone, dual_cone, restrict_arrangement
-from .errors import NotDiscriminantRoot, UnknownSupport
+from .errors import InvariantError, NotDiscriminantRoot, UnknownSupport
 from .linalg import Vec, dot, is_zero, sub, zero
 from .metric import SolidAngle, solid_angle
 from .polyhedra import Polyhedron, inner_normal_cone, normal_fan_support
@@ -167,8 +167,8 @@ def find_high_multiplicity_cone_root(
                     continue
                 seen.add((r, cell))
                 root = Polyhedron.from_generators([r], dual_cone(cell).rays)
-                assert is_root(phi, root)[0]
-                assert sharing_count(phi, root) >= 3
+                if not is_root(phi, root)[0] or sharing_count(phi, root) < 3:
+                    raise InvariantError("a cone root is not a root of multiplicity >= 3")
                 out.append(ConeRoot(root, r, (i1, i2, i3), v,
                                     solid_angle(cell, samples=samples, seed=seed)))
     out.sort(key=lambda cr: (cr.vertex, cr.triple, cr.anchor))

@@ -45,6 +45,13 @@ class NotDiscriminantRoot(PsrError):
     """A witness was requested for a point that is not a discriminant root."""
 
 
+class InvariantError(PsrError):
+    """A mathematical invariant the computation relies on does not hold.
+
+    Raised instead of a bare assert, so the check survives python -O.
+    """
+
+
 class IncompleteLocal(PsrError):
     """A local solution does not have full support at its vertex."""
 

@@ -16,12 +16,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .cones import Cone, conic_sum, covers, dual_cone, intersect_cones
-from .errors import BadSupport, IncompleteLocal, NotARoot
+from .cones import Cone, covers, dual_cone, intersect_cones
+from .errors import BadSupport, IncompleteLocal, InvariantError
 from .linalg import Vec, as_vec, is_zero, sub, zero
 from .polyhedra import (
     Polyhedron,
-    convex_hull,
     inner_normal_cone,
     intersect_polyhedra,
     minkowski_sum,
@@ -82,7 +81,8 @@ def glue_global(
                 if gamma not in sv.vertices:
                     return (v, gamma)
     ok, _ = is_root(phi, p0)
-    assert ok, "a glued candidate passing the compatibility check must be a root"
+    if not ok:
+        raise InvariantError("a glued candidate passing the compatibility check is not a root")
     return p0
 
 
@@ -235,7 +235,8 @@ def _classify(phi: PolyPolynomial, v: Sequence, pairs: tuple, weights: tuple) ->
     r_hi = rho(phi, key, *p_hi, msum)
     r_ends = rho(phi, key, *p_ends, msum)
     if is_zero(delta):
-        assert r_lo == r_hi == r_ends
+        if not r_lo == r_hi == r_ends:
+            raise InvariantError("a zero discriminant vector left distinct rho points")
         return DeltaReport(key, delta, "Degenerate", (_anchored(r_lo, nv),))
     neg, pos = _halfspace_split(nv, delta)
     if neg == nv:  # every ell in N has ell(delta) <= 0
@@ -243,9 +244,11 @@ def _classify(phi: PolyPolynomial, v: Sequence, pairs: tuple, weights: tuple) ->
                            (_anchored(r_lo, nv), _anchored(r_hi, nv)))
     if pos == nv:
         return DeltaReport(key, delta, "Plus", (_anchored(r_ends, nv),))
-    assert neg.is_full_dim() and pos.is_full_dim()
+    if not (neg.is_full_dim() and pos.is_full_dim()):
+        raise InvariantError("a split normal cone has a lower-dimensional half")
     sol = intersect_polyhedra(_anchored(r_hi, neg), _anchored(r_ends, pos))
-    assert sol is not None
+    if sol is None:
+        raise InvariantError("the two anchored pieces of a split do not meet")
     return DeltaReport(key, delta, "Split", (sol,))
 
 

@@ -1,13 +1,15 @@
 """Small exact linear algebra over the rationals.
 
-Vectors are tuples of Fraction; all routines are allocation-light and
-intended for the low dimensions (n <= 4) this package works in.
+Vectors are tuples of Fraction, or of int where they are primitive
+integer directions (`primitive`); ints and integral Fractions compare,
+hash and print alike.  All routines are allocation-light and intended for
+the low dimensions (n <= 4) this package works in.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -52,16 +54,17 @@ def zero(n: int) -> Vec:
     return (ZERO,) * n
 
 
-def primitive(a: Vec) -> Vec:
-    """Scale a nonzero rational vector to coprime integers, preserving sign."""
-    if is_zero(a):
-        return a
-    from functools import reduce
+def primitive(a: Sequence) -> tuple[int, ...]:
+    """Coprime integers on the ray of a rational vector; zero stays zero.
 
-    den = reduce(lambda acc, x: acc * x.denominator // gcd(acc, x.denominator), a, 1)
-    ints = [x.numerator * (den // x.denominator) for x in a]
-    g = reduce(gcd, (abs(v) for v in ints))
-    return tuple(Fraction(v // g) for v in ints)
+    Entries other than int and Fraction are converted exactly by Fraction.
+    """
+    if not all(type(x) is int for x in a):
+        a = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in a]
+        den = lcm(*(x.denominator for x in a))
+        a = [x.numerator * (den // x.denominator) for x in a]
+    g = gcd(*a)
+    return tuple(x // g for x in a) if g > 1 else tuple(a)
 
 
 def rref(rows: list[Vec]) -> list[Vec]:

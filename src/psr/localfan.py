@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .cones import Cone, conic_sum, restrict_arrangement, union_is_convex
+from .cones import Cone, restrict_arrangement, union_is_convex
 from .errors import BadIndex, NonGeneric, SizeLimit
 from .linalg import Vec, as_vec, dot, sub
-from .polyhedra import Polyhedron, inner_normal_cone
+from .polyhedra import inner_normal_cone
 from .polynomials import (
     MSum,
     PolyPolynomial,

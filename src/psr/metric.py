@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cones import Cone
-from .linalg import Vec, dot, is_zero, sub, solve
+from .errors import InvariantError
+from .linalg import Vec, dot, sub, solve
 from .polyhedra import Polyhedron
 
 
@@ -112,7 +113,8 @@ def point_polytope_sqdist(x: Vec, verts: tuple[Vec, ...]) -> Fraction:
             dsq = _sq_norm(sub(x, tuple(proj)))
             if best is None or dsq < best:
                 best = dsq
-    assert best is not None
+    if best is None:
+        raise InvariantError("no vertex subset gave a nearest point")
     return best
 
 

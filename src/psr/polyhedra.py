@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .cones import Cone, dual_cone, intersect_cones
+from .cones import Cone, dual_cone
 from .errors import NotAVertex, Unbounded
 from .linalg import Vec, as_vec, dot, is_zero, neg, sub, zero
 
@@ -83,7 +83,7 @@ class Polyhedron:
         for ray in cone.extreme_rays:
             last = ray[-1]
             if last > 0:
-                verts.append(tuple(c / last for c in ray[:-1]))
+                verts.append(tuple(Fraction(c, last) for c in ray[:-1]))
             elif last == 0:
                 recs.append(ray[:-1])
             else:  # pragma: no cover - homogenisation rays have last >= 0
@@ -187,7 +187,7 @@ def intersect_polyhedra(p: Polyhedron, q: Polyhedron) -> Polyhedron | None:
         neg(l) for l in cone.lines
     ]:
         if ray[-1] > 0:
-            verts.append(tuple(c / ray[-1] for c in ray[:-1]))
+            verts.append(tuple(Fraction(c, ray[-1]) for c in ray[:-1]))
         elif ray[-1] == 0 and not is_zero(ray[:-1]):
             recs.append(ray[:-1])
     if not verts:
@@ -226,12 +226,3 @@ def vertex_for_functional(p: Polyhedron, ell: Sequence, omega: OmegaOrder) -> Ve
     """Vertex minimising ell, ties broken by the omega order."""
     cands = p.argmin_vertices(ell)
     return min(cands, key=omega.key)
-
-
-def normal_cone_of_face(p: Polyhedron, ell: Sequence) -> Cone:
-    """Inner normal cone of the face of p minimising ell."""
-    vs = p.argmin_vertices(ell)
-    cone = inner_normal_cone(p, vs[0])
-    for v in vs[1:]:
-        cone = intersect_cones(cone, inner_normal_cone(p, v))
-    return cone

@@ -14,11 +14,11 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .cones import Cone, dual_cone
-from .errors import BadIndex, NotARoot, Unbounded
-from .linalg import Vec, as_vec, dot, sub, zero
+from .errors import BadIndex, InvariantError, NotARoot, Unbounded
+from .linalg import Vec, as_vec, sub, zero
 from .polyhedra import (
     OmegaOrder,
     Polyhedron,
@@ -196,9 +196,11 @@ def coefficient_msum(phi: PolyPolynomial) -> MSum:
         parts = []
         for _, q in phi.terms:
             mins = q.argmin_vertices(ell)
-            assert len(mins) == 1, "interior functional must expose a unique vertex"
+            if len(mins) != 1:
+                raise InvariantError("interior functional exposes no unique vertex")
             parts.append(mins[0])
-        assert tuple(sum(c) for c in zip(*parts)) == nu
+        if tuple(sum(c) for c in zip(*parts)) != nu:
+            raise InvariantError("the exposed coefficient vertices do not sum to the vertex")
         decomp[nu] = tuple(parts)
     return MSum(m, phi.support, decomp)
 
@@ -349,7 +351,8 @@ def tropical_envelope_signature(psi: TropPolynomial) -> tuple:
 
 def _argmin_vertex_on_cell(q: Polyhedron, ell: Vec) -> Vec:
     mins = q.argmin_vertices(ell)
-    assert len(mins) == 1, "cell refinement should force a unique minimiser"
+    if len(mins) != 1:
+        raise InvariantError("cell refinement did not force a unique minimiser")
     return mins[0]
 
 

@@ -19,7 +19,7 @@ from .cones import (
     union_is_convex,
 )
 from .errors import (
-    IncompleteLocal,
+    InvariantError,
     NotARoot,
     NotLocal,
     SizeLimit,
@@ -28,7 +28,7 @@ from .errors import (
 from .linalg import Vec, add, as_vec, dot, sub
 from .localfan import LCS, LabelledFanFv, build_local_fan, enumerate_lcs
 from .polyhedra import Polyhedron, inner_normal_cone, normal_fan_support
-from .polynomials import PolyPolynomial, coefficient_msum, is_root
+from .polynomials import PolyPolynomial, is_root
 
 
 @dataclass(frozen=True)
@@ -154,7 +154,8 @@ def _deshift(total: VCC, base: VCC) -> VCC:
             if cu.contains_cone(c):
                 owner = u
                 break
-        assert owner is not None, "shifted vertex cone has no owner in the base"
+        if owner is None:
+            raise InvariantError("shifted vertex cone has no owner in the base")
         groups.setdefault(sub(w, owner), []).append(c)
     merged = []
     for x, cones in groups.items():
@@ -237,7 +238,8 @@ def completion(fan: LabelledFanFv, p0) -> VCC:
             for cell in fan.cells
             if intersect_cones(cell.cone, c).dim() == sdim
         ]
-        assert saturated, "a full-dimensional normal cone meets some cell"
+        if not saturated:
+            raise InvariantError("a full-dimensional normal cone meets no fan cell")
         cone = saturated[0]
         for extra in saturated[1:]:
             cone = conic_sum(cone, extra)
@@ -386,6 +388,8 @@ def enumerate_mw_minimal_local_solutions(
         for subset in maximal_convex_subfamilies(cones, cap=cap_cells):
             p = associated_polyhedron(fan, lcs, subset)
             ok, _ = is_root(phi, p)
-            assert ok, "associated polyhedron of an LCS restriction must be a root"
+            if not ok:
+                raise InvariantError(
+                    "associated polyhedron of an LCS restriction is not a root")
             out[(p.vertices, p.rec_rays)] = p
     return [out[k] for k in sorted(out)]

@@ -1,5 +1,9 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -208,3 +212,17 @@ def test_stdout_byte_identical_given_seed(run, write, capsys):
     main(["dist", "--q0", a, "--q1", b, "--seed", "3"])
     second = capsys.readouterr().out
     assert first == second and first.strip()
+
+
+def test_readme_example_command():
+    repo = Path(__file__).resolve().parents[1]
+    cmd = "psr root --poly examples/phi.json --at examples/candidate.json"
+    assert cmd in (repo / "README.md").read_text()
+    path = os.pathsep.join(filter(None, [str(repo / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "psr.cli", *cmd.split()[1:]],
+        cwd=repo, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["root"] is True  # exactly one document

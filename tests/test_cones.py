@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cone_oracle
 from psr.cones import (
     Cone,
+    _cone_from_ineqs,
+    _cone_from_rays,
     conic_sum,
     covers,
     dual_cone,
@@ -16,7 +19,8 @@ from psr.cones import (
     union_is_convex,
 )
 from psr.errors import SizeLimit
-from psr.linalg import as_vec
+from psr.linalg import as_vec, rank
+from psr.polyhedra import Polyhedron, intersect_polyhedra
 
 ints = st.integers(-4, 4)
 ray2 = st.tuples(ints, ints)
@@ -172,3 +176,80 @@ def test_arrangement_cells_cover_support(rays, normals):
     assert covers(support, cells) or support.dim() < 2 and cells == [support]
     for cell in cells:
         assert support.contains_cone(cell)
+
+
+# -- differential test against the Fraction-based reference --------------------
+
+
+def _fields(c):
+    return c.lines, c.extreme_rays, c.facets, c.span_eqs
+
+
+def _no_float(c):
+    return all(type(x) in (int, F) for vs in _fields(c) for v in vs for x in v)
+
+
+@st.composite
+def cone_inputs(draw):
+    """(dim, vectors, variant): vectors with lineality, zero vectors and
+    duplicates; variant is the same set permuted, positively rescaled and
+    with ints and Fractions mixed."""
+    dim = draw(st.integers(1, 4))
+    vec = st.tuples(*[st.integers(-3, 3)] * dim)
+    vecs = draw(st.lists(vec, max_size=6))
+    if vecs and draw(st.booleans()):  # a line
+        vecs.append(tuple(-x for x in vecs[0]))
+    if draw(st.booleans()):
+        vecs.append((0,) * dim)
+    if vecs and draw(st.booleans()):
+        vecs.append(draw(st.sampled_from(vecs)))
+    scale = st.one_of(st.integers(1, 5), st.builds(F, st.integers(1, 5), st.integers(1, 4)))
+    variant = []
+    for v in draw(st.permutations(vecs)):
+        c = draw(scale)
+        variant.append(tuple(F(c * x) if draw(st.booleans()) else c * x for x in v))
+    return dim, vecs, variant
+
+
+@settings(max_examples=150, deadline=None)
+@given(cone_inputs(), st.sampled_from(["rays", "ineqs"]))
+def test_canonical_form_matches_reference(inp, kind):
+    dim, vecs, variant = inp
+    build, cache = {
+        "rays": (Cone.from_rays, _cone_from_rays),
+        "ineqs": (Cone.from_ineqs, _cone_from_ineqs),
+    }[kind]
+    oracle = {"rays": cone_oracle.from_rays, "ineqs": cone_oracle.from_ineqs}[kind]
+    cache.cache_clear()
+    miss = build(vecs, dim=dim)
+    hit = build(variant, dim=dim)
+    info = cache.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert hit is miss
+    assert _fields(miss) == oracle(vecs, dim) == oracle(variant, dim)
+    assert miss.dim() == rank(list(miss.extreme_rays) + list(miss.lines))
+    assert _no_float(miss)
+
+
+def test_entries_other_than_int_and_fraction_are_exact():
+    c = Cone.from_rays([("1/3", 0.5), (1.0, 0)])
+    assert c == Cone.from_rays([(2, 3), (1, 0)])
+    assert _no_float(c)
+
+
+def test_polyhedron_vertices_are_fractions():
+    p = Polyhedron.from_generators([(F(1, 3),), (2,)])
+    assert p.vertices == ((F(1, 3),), (F(2),))
+    assert all(type(x) is F for v in p.vertices for x in v)
+    q = intersect_polyhedra(p, Polyhedron.from_generators([(0,), (F(1, 2),)]))
+    assert q.vertices == ((F(1, 3),), (F(1, 2),))
+    assert all(type(x) is F for v in q.vertices for x in v)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.builds(F, st.integers(-6, 6), st.integers(1, 4)),
+                          st.integers(-3, 3)), min_size=1, max_size=5))
+def test_polyhedron_coordinates_are_never_float(points):
+    p = Polyhedron.from_generators(points, [(1, 0)])
+    assert all(type(x) is F for v in p.vertices for x in v)
+    assert all(type(x) in (int, F) for r in p.rec_rays for x in r)
