@@ -9,12 +9,19 @@ Fraction, so `dim()` is `dim_ambient - len(span_eqs)`.  Two cones are
 equal iff their canonical forms coincide, so structural equality is exact;
 ints compare, hash and print like integral Fractions.
 
+The double description method keeps, for every ray, an int bitset of the
+inequalities tight on it: two rays are adjacent iff no third ray's bitset
+contains the intersection of theirs (Fukuda & Prodon 1996).  A canonical
+form takes one run, on one side of the duality; the other side is read
+off the inputs' tight sets (`_describe`).
+
 `Cone.from_ineqs` and `Cone.from_rays` are memoized, each in an LRU cache
 of `_CACHE_SIZE` cones keyed on (dim, frozenset of the input vectors made
 primitive, zero vectors dropped): order, duplicates and positive scaling
 of the input change neither the key nor the cone.  The double description
 method runs only on a miss; a cached `Cone` is a frozen dataclass of
-tuples, shared by every caller.
+tuples, shared by every caller.  `union_is_convex` is memoized the same
+way, on the set of cones.
 """
 
 from __future__ import annotations
@@ -25,17 +32,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .errors import SizeLimit
-from .linalg import (
-    Vec,
-    as_vec,
-    dot,
-    is_zero,
-    neg,
-    primitive,
-    reduce_mod,
-    rref,
-    zero,
-)
+from .linalg import Vec, as_vec, dot, is_zero, neg, primitive, reduce_mod, rref, zero
 
 _CACHE_SIZE = 512
 
@@ -46,23 +43,25 @@ def _idot(a: IntVec, b: IntVec) -> int:
     return sum(x * y for x, y in zip(a, b))
 
 
-def _dd_from_ineqs(dim: int, ineqs: Iterable[IntVec]) -> tuple[list[IntVec], list[IntVec]]:
+def _dd_from_ineqs(dim: int, ineqs: Sequence[IntVec]) -> tuple[list[IntVec], list[IntVec], list[int]]:
     """Double description of {x : a.x >= 0 for a in ineqs}.
 
     The inequalities are nonzero primitive integer vectors.  Returns
-    (lineality basis, extreme rays), both primitive integer vectors.
-    Starts from all of R^dim and cuts one halfspace at a time; while
-    lineality is present, a violated line is rotated into the ray set,
-    after which the usual adjacency splitting applies in the pointed
-    quotient.  All arithmetic is fraction-free: generators are
-    scale-invariant, so every update may be rescaled.
+    (lineality basis, extreme rays, incidence bitsets), the first two as
+    primitive integer vectors; bit k of a ray's bitset is set iff
+    ineqs[k] is tight on it.  Starts from all of R^dim and cuts one
+    halfspace at a time; while lineality is present, a violated line is
+    rotated into the ray set, after which the usual adjacency splitting
+    applies in the pointed quotient.  All arithmetic is fraction-free:
+    generators are scale-invariant, so every update may be rescaled.
     """
     lines: list[IntVec] = [
         tuple(int(i == j) for j in range(dim)) for i in range(dim)
     ]
     rays: list[IntVec] = []
-    processed: list[IntVec] = []
-    for a in ineqs:
+    zs: list[int] = []
+    for k, a in enumerate(ineqs):
+        bit = 1 << k
         # try to clear the inequality with a lineality generator
         pivot_obj = next((l for l in lines if _idot(a, l) != 0), None)
         if pivot_obj is not None:
@@ -87,44 +86,40 @@ def _dd_from_ineqs(dim: int, ineqs: Iterable[IntVec]) -> tuple[list[IntVec], lis
                 nr = r if ar == 0 else primitive(
                     tuple(pa * x - ar * y for x, y in zip(r, pivot)))
                 new_rays.append(nr)
-            rays = new_rays
-            rays.append(pivot)
-            processed.append(a)
+            # every old ray now lies on a.x = 0; the pivot, a former line,
+            # is tight on every earlier inequality and not on a
+            rays = new_rays + [pivot]
+            zs = [z | bit for z in zs] + [bit - 1]
             continue
         vals = [_idot(a, r) for r in rays]
-        pos = [r for r, v in zip(rays, vals) if v > 0]
-        nul = [r for r, v in zip(rays, vals) if v == 0]
-        negs = [r for r, v in zip(rays, vals) if v < 0]
-        if not negs:
-            processed.append(a)
+        if all(v >= 0 for v in vals):
+            zs = [z | bit if v == 0 else z for z, v in zip(zs, vals)]
             continue
-        new_rays = pos + nul
-        for rp, rn in itertools.product(pos, negs):
-            if not _adjacent(rp, rn, rays, processed):
+        pos = [i for i, v in enumerate(vals) if v > 0]
+        nul = [i for i, v in enumerate(vals) if v == 0]
+        negs = [i for i, v in enumerate(vals) if v < 0]
+        new_rays = [rays[i] for i in pos + nul]
+        new_zs = [zs[i] for i in pos] + [zs[i] | bit for i in nul]
+        # Two extreme rays (the list holds exactly those, modulo the
+        # lineality) are adjacent iff no third ray is tight on every
+        # inequality tight on both.  Adjacent rays span a 2-face, so at
+        # least dim - len(lines) - 2 inequalities are tight on both.
+        need = dim - len(lines) - 2
+        for p, n in itertools.product(pos, negs):
+            z = zs[p] & zs[n]
+            if z.bit_count() < need or any(
+                y & z == z for i, y in enumerate(zs) if i != p and i != n
+            ):
                 continue
             # combination on the hyperplane a.x = 0
-            ap, an = _idot(a, rp), _idot(a, rn)
+            rp, rn = rays[p], rays[n]
+            ap, an = vals[p], vals[n]
             cand = tuple(ap * x - an * y for x, y in zip(rn, rp))
             if any(x != 0 for x in cand):
                 new_rays.append(primitive(cand))
-        rays = new_rays
-        processed.append(a)
-    return lines, rays
-
-
-def _adjacent(r1: IntVec, r2: IntVec, rays: list[IntVec], ineqs: list[IntVec]) -> bool:
-    """Combinatorial adjacency test for two extreme rays of the current cone.
-
-    Valid whenever the ray list is exactly the extreme rays modulo the
-    lineality space, which the double description loop maintains.
-    """
-    z = [a for a in ineqs if _idot(a, r1) == 0 and _idot(a, r2) == 0]
-    for r in rays:
-        if r is r1 or r is r2:
-            continue
-        if all(_idot(a, r) == 0 for a in z):
-            return False
-    return True
+                new_zs.append(z | bit)
+        rays, zs = new_rays, new_zs
+    return lines, rays, zs
 
 
 def _key(vecs: Iterable[Sequence]) -> frozenset[IntVec]:
@@ -139,35 +134,46 @@ def _reduced(rays: list[IntVec], lin: list[Vec]) -> tuple[IntVec, ...]:
     return tuple(sorted({r for r in rays if any(r)}))
 
 
-def _canonical(
-    dim: int,
-    ineqs: list[IntVec],
-    dual: tuple[list[IntVec], list[IntVec]] | None = None,
-) -> "Cone":
-    """Canonical form of {x : a.x >= 0 for a in ineqs}; `dual` is the
-    double description of the dual cone when the caller already has it."""
-    lines, rays = _dd_from_ineqs(dim, ineqs)
-    lin = rref(lines)
-    ext = _reduced(rays, lin)
-    if dual is None:
-        # facet description: canonicalise the dual cone's generators
-        dual = _dd_from_ineqs(dim, list(ext) + lines + [neg(l) for l in lines])
-    d_lines, d_rays = dual
+def _describe(dim: int, vecs: list[IntVec]) -> tuple[tuple, tuple]:
+    """Canonical (lineality, extreme generators) of C = cone(vecs) and of
+    its dual D = {a : a.v >= 0 for v in vecs}, from one double description.
+
+    The DD of D gives D's lineality and extreme rays (the facets of C),
+    with the set of inputs each ray is tight on.  C's own description is
+    read off those incidences, with no second DD:
+    - every extreme ray of C, modulo its lineality, is among the inputs;
+    - an input in the relative interior of a face of dimension >= 2
+      (modulo the lineality) is tight on strictly fewer facets than an
+      extreme ray of that face, which is also an input, so the extreme
+      rays are the inputs whose tight sets are inclusion-maximal among
+      those outside the lineality;
+    - an input lies in the lineality iff it is tight on every facet, and
+      these inputs span it: if sum(l_i v_i), l_i >= 0, lies in the
+      lineality, every facet vanishes on it, hence on each v_i with
+      l_i > 0.
+    """
+    d_lines, d_rays, zs = _dd_from_ineqs(dim, vecs)
     d_lin = rref(d_lines)
-    return Cone(dim, tuple(lin), ext, _reduced(d_rays, d_lin), tuple(d_lin))
+    # tight[k]: bitset of the extreme rays of D that are tight on vecs[k]
+    tight = [sum(1 << j for j, z in enumerate(zs) if z >> k & 1) for k in range(len(vecs))]
+    every = (1 << len(zs)) - 1
+    lin = rref([v for v, t in zip(vecs, tight) if t == every])
+    rest = {t for t in tight if t != every}
+    top = {t for t in rest if not any(t != u and t & u == t for u in rest)}
+    ext = _reduced([v for v, t in zip(vecs, tight) if t in top], lin)
+    return (tuple(lin), ext), (tuple(d_lin), _reduced(d_rays, d_lin))
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _cone_from_ineqs(dim: int, key: frozenset[IntVec]) -> "Cone":
-    return _canonical(dim, list(key))
+    (span_eqs, facets), (lin, ext) = _describe(dim, list(key))
+    return Cone(dim, lin, ext, facets, span_eqs)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _cone_from_rays(dim: int, key: frozenset[IntVec]) -> "Cone":
-    # facets of the cone = rays of the dual = {a : a.r >= 0 for all r}
-    d_lines, d_rays = _dd_from_ineqs(dim, key)
-    facet_ineqs = d_rays + d_lines + [neg(l) for l in d_lines]
-    return _canonical(dim, facet_ineqs, dual=(d_lines, d_rays))
+    (lin, ext), (span_eqs, facets) = _describe(dim, list(key))
+    return Cone(dim, lin, ext, facets, span_eqs)
 
 
 @dataclass(frozen=True)
@@ -283,11 +289,14 @@ def intersect_cones(c1: Cone, c2: Cone) -> Cone:
     return Cone.from_ineqs(list(c1.ineqs) + list(c2.ineqs), dim=c1.dim_ambient)
 
 
-def conic_sum(c1: Cone, c2: Cone) -> Cone:
-    """Smallest cone containing both: generated by the union of the rays."""
-    if c1.dim_ambient != c2.dim_ambient:
+def conic_sum(*cones: Cone) -> Cone:
+    """Smallest cone containing all the cones: generated by all their rays."""
+    dim = cones[0].dim_ambient
+    if any(c.dim_ambient != dim for c in cones):
         raise ValueError("ambient dimensions differ")
-    return Cone.from_rays(list(c1.rays) + list(c2.rays), dim=c1.dim_ambient)
+    if len(cones) == 1:
+        return cones[0]
+    return Cone.from_rays([r for c in cones for r in c.rays], dim=dim)
 
 
 def restrict_arrangement(support: Cone, normals: Iterable[Sequence]) -> list[Cone]:
@@ -316,18 +325,7 @@ def restrict_arrangement(support: Cone, normals: Iterable[Sequence]) -> list[Con
                 if half.dim() == sdim:
                     nxt.append(half)
         cells = nxt
-    return _dedupe(cells)
-
-
-def _dedupe(cones: list[Cone]) -> list[Cone]:
-    seen = set()
-    out = []
-    for c in cones:
-        key = (c.lines, c.extreme_rays)
-        if key not in seen:
-            seen.add(key)
-            out.append(c)
-    return out
+    return list(dict.fromkeys(cells))  # distinct cells, first occurrence kept
 
 
 def covers(region: Cone, pieces: list[Cone]) -> bool:
@@ -344,17 +342,17 @@ def covers(region: Cone, pieces: list[Cone]) -> bool:
     return True
 
 
-def union_is_convex(cones: list[Cone]) -> bool:
+def union_is_convex(cones: Iterable[Cone]) -> bool:
     """Is the union of the cones itself a convex cone?
 
     The union is convex iff it equals the conic sum of its members.
     """
-    if not cones:
-        return True
-    hull = cones[0]
-    for c in cones[1:]:
-        hull = conic_sum(hull, c)
-    return covers(hull, cones)
+    return _union_is_convex(frozenset(cones))
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _union_is_convex(cones: frozenset[Cone]) -> bool:
+    return not cones or covers(conic_sum(*cones), list(cones))
 
 
 def maximal_convex_subfamilies(cones: list[Cone], cap: int = 20) -> list[list[int]]:

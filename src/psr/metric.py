@@ -37,23 +37,15 @@ def solid_angle(c: Cone, samples: int = 200_000, seed: int = 0) -> SolidAngle:
     n = c.dim_ambient
     if c.dim() < n:
         # measure-zero slice of the sphere
-        if n == 1:
-            # "cone" is {0} or a halfline; halflines are full-dim in R^1
-            return SolidAngle(0.0, 0.0)
         return SolidAngle(0.0, 0.0)
     if n == 1:
         # full-dimensional cones in R^1: halfline (1/2) or the line (1)
         return SolidAngle(1.0 if c.lines else 0.5, 0.0)
     if n == 2:
-        if len(c.lines) == 2 or (c.lines and not c.extreme_rays):
-            # plane or halfplane
-            return SolidAngle(1.0 if len(c.lines) == 2 else 0.5, 0.0)
-        if c.lines and c.extreme_rays:  # halfplane described as line + ray
-            return SolidAngle(0.5, 0.0)
-        rays = c.extreme_rays
-        if len(rays) == 1:
-            return SolidAngle(0.0, 0.0)
-        (a, b) = rays
+        if c.lines:
+            # full-dimensional with lineality: halfplane (line + ray) or plane
+            return SolidAngle(0.5 * len(c.lines), 0.0)
+        (a, b) = c.extreme_rays
         ang = abs(
             math.atan2(float(b[1]), float(b[0])) - math.atan2(float(a[1]), float(a[0]))
         )

@@ -157,13 +157,7 @@ def _deshift(total: VCC, base: VCC) -> VCC:
         if owner is None:
             raise InvariantError("shifted vertex cone has no owner in the base")
         groups.setdefault(sub(w, owner), []).append(c)
-    merged = []
-    for x, cones in groups.items():
-        cone = cones[0]
-        for c in cones[1:]:
-            cone = conic_sum(cone, c)
-        merged.append((x, cone))
-    return VCC.make(merged)
+    return VCC.make([(x, conic_sum(*cones)) for x, cones in groups.items()])
 
 
 def vcc_evaluate(phi: PolyPolynomial, g: VCC) -> tuple[VCC, dict[int, VCC]]:
@@ -240,10 +234,7 @@ def completion(fan: LabelledFanFv, p0) -> VCC:
         ]
         if not saturated:
             raise InvariantError("a full-dimensional normal cone meets no fan cell")
-        cone = saturated[0]
-        for extra in saturated[1:]:
-            cone = conic_sum(cone, extra)
-        out.append((gamma, cone))
+        out.append((gamma, conic_sum(*saturated)))
     return VCC.make(out)
 
 
@@ -297,10 +288,7 @@ def minimalize(fan: LabelledFanFv, b0: VCC, cap_candidates: int = 1_000_000) -> 
             cones = [fan.cells[k].cone for k in sorted(assignment[gamma])]
             if len(cones) > 1 and not union_is_convex(cones):
                 return None
-            cone = cones[0]
-            for c in cones[1:]:
-                cone = conic_sum(cone, c)
-            pairs.append((gamma, cone))
+            pairs.append((gamma, conic_sum(*cones)))
         cand = VCC.make(pairs)
         if not cand.is_valid()[0]:
             return None
@@ -330,13 +318,10 @@ def lcs_to_vcc(fan: LabelledFanFv, lcs: LCS) -> VCC:
     groups: dict[Vec, list[int]] = {}
     for k, pair in lcs.items():
         groups.setdefault(fan.rho[pair], []).append(k)
-    pairs = []
-    for gamma, ks in sorted(groups.items()):
-        cone = fan.cells[ks[0]].cone
-        for k in ks[1:]:
-            cone = conic_sum(cone, fan.cells[k].cone)
-        pairs.append((gamma, cone))
-    return VCC.make(pairs)
+    return VCC.make([
+        (gamma, conic_sum(*(fan.cells[k].cone for k in ks)))
+        for gamma, ks in sorted(groups.items())
+    ])
 
 
 def vcc_to_lcs(fan: LabelledFanFv, g: VCC) -> LCS:
@@ -356,19 +341,14 @@ def vcc_to_lcs(fan: LabelledFanFv, g: VCC) -> LCS:
 def associated_polyhedron(fan: LabelledFanFv, lcs: LCS, subset: list[int]) -> Polyhedron:
     """Associated polyhedron of the restriction of an LCS to the convex
     union of the given cells (indices into the LCS cell list)."""
-    chosen = [fan.cells[lcs.cells[t]].cone for t in subset]
-    region = chosen[0]
-    for c in chosen[1:]:
-        region = conic_sum(region, c)
+    region = conic_sum(*(fan.cells[lcs.cells[t]].cone for t in subset))
     sdim = fan.support.dim()
     groups: dict[Vec, list[int]] = {}
     for k, pair in lcs.items():
         groups.setdefault(fan.rho[pair], []).append(k)
     verts = []
     for gamma, ks in groups.items():
-        c_gamma = fan.cells[ks[0]].cone
-        for k in ks[1:]:
-            c_gamma = conic_sum(c_gamma, fan.cells[k].cone)
+        c_gamma = conic_sum(*(fan.cells[k].cone for k in ks))
         if intersect_cones(c_gamma, region).dim() == sdim:
             verts.append(gamma)
     rec = dual_cone(region)

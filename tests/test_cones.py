@@ -10,6 +10,8 @@ from psr.cones import (
     Cone,
     _cone_from_ineqs,
     _cone_from_rays,
+    _dd_from_ineqs,
+    _key,
     conic_sum,
     covers,
     dual_cone,
@@ -19,7 +21,7 @@ from psr.cones import (
     union_is_convex,
 )
 from psr.errors import SizeLimit
-from psr.linalg import as_vec, rank
+from psr.linalg import as_vec, dot, rank
 from psr.polyhedra import Polyhedron, intersect_polyhedra
 
 ints = st.integers(-4, 4)
@@ -203,16 +205,37 @@ def cone_inputs(draw):
         vecs.append((0,) * dim)
     if vecs and draw(st.booleans()):
         vecs.append(draw(st.sampled_from(vecs)))
+    return dim, vecs, _variant(draw, vecs)
+
+
+@st.composite
+def msum_inputs(draw):
+    """(dim, vectors, variant) at the scale of Minkowski sums in is_root: the
+    homogenised points of P + Q for lattice polytopes P, Q in R^2 or R^3,
+    9 to 30 of them (|P + Q| >= |P| + |Q| - 1), sometimes with a
+    recession ray."""
+    d = draw(st.integers(2, 3))
+    pt = st.tuples(*[st.integers(-3, 3)] * d)
+    ps = draw(st.lists(pt, min_size=5, max_size=6, unique=True))
+    qs = draw(st.lists(pt, min_size=5, max_size=5, unique=True))
+    vecs = sorted({tuple(x + y for x, y in zip(p, q)) + (1,) for p in ps for q in qs})
+    if draw(st.booleans()):
+        vecs.append(draw(pt) + (0,))
+    return d + 1, vecs, _variant(draw, vecs)
+
+
+def _variant(draw, vecs):
+    """The same vectors permuted, positively rescaled, ints and Fractions mixed."""
     scale = st.one_of(st.integers(1, 5), st.builds(F, st.integers(1, 5), st.integers(1, 4)))
     variant = []
     for v in draw(st.permutations(vecs)):
         c = draw(scale)
         variant.append(tuple(F(c * x) if draw(st.booleans()) else c * x for x in v))
-    return dim, vecs, variant
+    return variant
 
 
 @settings(max_examples=150, deadline=None)
-@given(cone_inputs(), st.sampled_from(["rays", "ineqs"]))
+@given(st.one_of(cone_inputs(), msum_inputs()), st.sampled_from(["rays", "ineqs"]))
 def test_canonical_form_matches_reference(inp, kind):
     dim, vecs, variant = inp
     build, cache = {
@@ -229,6 +252,20 @@ def test_canonical_form_matches_reference(inp, kind):
     assert _fields(miss) == oracle(vecs, dim) == oracle(variant, dim)
     assert miss.dim() == rank(list(miss.extreme_rays) + list(miss.lines))
     assert _no_float(miss)
+    if kind == "rays":  # the facets back through the H-side constructor
+        assert _fields(Cone.from_ineqs(miss.ineqs, dim)) == cone_oracle.from_ineqs(
+            miss.ineqs, dim) == _fields(miss)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(cone_inputs(), msum_inputs()))
+def test_dd_bitsets_are_tight_sets(inp):
+    dim, vecs, _ = inp
+    ineqs = list(_key(vecs))
+    lines, rays, zs = _dd_from_ineqs(dim, ineqs)
+    assert len(zs) == len(rays)
+    for r, z in zip(rays, zs):
+        assert z == sum(1 << k for k, a in enumerate(ineqs) if dot(a, r) == 0)
 
 
 def test_entries_other_than_int_and_fraction_are_exact():
