@@ -20,19 +20,26 @@ of `_CACHE_SIZE` cones keyed on (dim, frozenset of the input vectors made
 primitive, zero vectors dropped): order, duplicates and positive scaling
 of the input change neither the key nor the cone.  The double description
 method runs only on a miss; a cached `Cone` is a frozen dataclass of
-tuples, shared by every caller.  `union_is_convex` is memoized the same
-way, on the set of cones.
+tuples, shared by every caller.  Each cone computes its own two key sets
+once (`ineq_key`, `ray_key`), so a derived cone (an intersection, a conic
+sum, a half of an arrangement split, a facet) is looked up by the union
+of its parents' keys, with no pass over their vectors.
+
+Every sign test runs on ints: the query vector is made primitive once (a
+positive multiple, so no sign changes) and dotted with the cone's int
+rays or int inequalities.  `covers` is memoized in an LRU cache on
+(region, set of pieces); `union_is_convex` is decided through it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 from .errors import SizeLimit
-from .linalg import Vec, as_vec, dot, is_zero, neg, primitive, reduce_mod, rref, zero
+from .linalg import Vec, neg, primitive, reduce_mod, rref, zero
 
 _CACHE_SIZE = 512
 
@@ -216,7 +223,7 @@ class Cone:
 
     # -- basic queries -------------------------------------------------
 
-    @property
+    @cached_property
     def rays(self) -> tuple[IntVec, ...]:
         """Generators: extreme rays plus both signs of each lineality vector."""
         both = tuple(primitive(l) for l in self.lines)
@@ -226,6 +233,16 @@ class Cone:
     def ineqs(self) -> tuple[Vec, ...]:
         """Full inequality description (facets plus span equalities, both signs)."""
         return self.facets + self.span_eqs + tuple(neg(e) for e in self.span_eqs)
+
+    @cached_property
+    def ineq_key(self) -> frozenset[IntVec]:
+        """`_key(ineqs)`: this cone is `_cone_from_ineqs(dim_ambient, ineq_key)`."""
+        return _key(self.ineqs)
+
+    @cached_property
+    def ray_key(self) -> frozenset[IntVec]:
+        """`_key(rays)`: this cone is `_cone_from_rays(dim_ambient, ray_key)`."""
+        return _key(self.rays)
 
     def dim(self) -> int:
         return self.dim_ambient - len(self.span_eqs)
@@ -237,29 +254,30 @@ class Cone:
         return not self.lines
 
     def contains(self, x: Sequence) -> bool:
-        v = as_vec(x)
-        return all(dot(a, v) >= 0 for a in self.ineqs)
+        v = primitive(x)
+        return all(_idot(a, v) >= 0 for a in self.ineq_key)
 
     def contains_cone(self, other: "Cone") -> bool:
         return all(self.contains(r) for r in other.rays)
 
+    def in_dual(self, x: Sequence) -> bool:
+        """Is l(x) >= 0 for every l in the cone?  (x lies in the dual cone.)"""
+        v = primitive(x)
+        return all(_idot(r, v) >= 0 for r in self.rays)
+
     def interior_point(self) -> Vec:
         """A point in the relative interior."""
-        if not self.extreme_rays and not self.lines:
-            return zero(self.dim_ambient)
         total = zero(self.dim_ambient)
         for r in self.extreme_rays:
             total = tuple(a + b for a, b in zip(total, r))
-        if is_zero(total) and self.lines:
-            # pure linear space: the origin is interior
-            return zero(self.dim_ambient)
-        return total
+        # a pure linear space (or the origin): the origin is interior
+        return total if any(total) else zero(self.dim_ambient)
 
     def relint_contains(self, x: Sequence) -> bool:
-        v = as_vec(x)
-        if not all(dot(e, v) == 0 for e in self.span_eqs):
-            return False
-        return all(dot(a, v) > 0 for a in self.facets)
+        # ineq_key holds the facets and both signs of the span equations
+        v = primitive(x)
+        return all(_idot(a, v) >= 0 for a in self.ineq_key) and all(
+            _idot(a, v) > 0 for a in self.facets)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Cone):
@@ -280,13 +298,13 @@ class Cone:
 
 def dual_cone(c: Cone) -> Cone:
     """Polar dual {a : a.x >= 0 for all x in c}; swaps the two descriptions."""
-    return Cone.from_ineqs(c.rays, dim=c.dim_ambient)
+    return _cone_from_ineqs(c.dim_ambient, c.ray_key)
 
 
 def intersect_cones(c1: Cone, c2: Cone) -> Cone:
     if c1.dim_ambient != c2.dim_ambient:
         raise ValueError("ambient dimensions differ")
-    return Cone.from_ineqs(list(c1.ineqs) + list(c2.ineqs), dim=c1.dim_ambient)
+    return _cone_from_ineqs(c1.dim_ambient, c1.ineq_key | c2.ineq_key)
 
 
 def conic_sum(*cones: Cone) -> Cone:
@@ -296,7 +314,7 @@ def conic_sum(*cones: Cone) -> Cone:
         raise ValueError("ambient dimensions differ")
     if len(cones) == 1:
         return cones[0]
-    return Cone.from_rays([r for c in cones for r in c.rays], dim=dim)
+    return _cone_from_rays(dim, frozenset().union(*(c.ray_key for c in cones)))
 
 
 def restrict_arrangement(support: Cone, normals: Iterable[Sequence]) -> list[Cone]:
@@ -305,23 +323,21 @@ def restrict_arrangement(support: Cone, normals: Iterable[Sequence]) -> list[Con
     Each hyperplane {x : a.x = 0} splits every current cell into the two
     closed halves, keeping the pieces whose dimension matches the support.
     """
-    sdim = support.dim()
+    dim, sdim = support.dim_ambient, support.dim()
     cells = [support]
     for raw in normals:
-        a = as_vec(raw)
-        if is_zero(a):
+        a = primitive(raw)
+        if not any(a):
             continue
+        na = neg(a)
         nxt: list[Cone] = []
         for cell in cells:
-            vals = [dot(a, r) for r in cell.rays]
-            has_pos = any(v > 0 for v in vals)
-            has_neg = any(v < 0 for v in vals)
-            if not (has_pos and has_neg):
+            vals = [_idot(a, r) for r in cell.rays]
+            if not (any(v > 0 for v in vals) and any(v < 0 for v in vals)):
                 nxt.append(cell)
                 continue
-            plus = Cone.from_ineqs(list(cell.ineqs) + [a], dim=cell.dim_ambient)
-            minus = Cone.from_ineqs(list(cell.ineqs) + [neg(a)], dim=cell.dim_ambient)
-            for half in (plus, minus):
+            key = cell.ineq_key
+            for half in (_cone_from_ineqs(dim, key | {a}), _cone_from_ineqs(dim, key | {na})):
                 if half.dim() == sdim:
                     nxt.append(half)
         cells = nxt
@@ -334,6 +350,11 @@ def covers(region: Cone, pieces: list[Cone]) -> bool:
     Refines region by every facet hyperplane of every piece and checks that
     each resulting cell (via an interior point) lies in some piece.
     """
+    return _covers(region, frozenset(pieces))
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _covers(region: Cone, pieces: frozenset[Cone]) -> bool:
     normals = [a for p in pieces for a in p.facets]
     for cell in restrict_arrangement(region, normals):
         w = cell.interior_point()
@@ -347,12 +368,8 @@ def union_is_convex(cones: Iterable[Cone]) -> bool:
 
     The union is convex iff it equals the conic sum of its members.
     """
-    return _union_is_convex(frozenset(cones))
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def _union_is_convex(cones: frozenset[Cone]) -> bool:
-    return not cones or covers(conic_sum(*cones), list(cones))
+    cones = list(cones)
+    return not cones or covers(conic_sum(*cones), cones)
 
 
 def maximal_convex_subfamilies(cones: list[Cone], cap: int = 20) -> list[list[int]]:

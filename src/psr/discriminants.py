@@ -19,7 +19,7 @@ from typing import Sequence
 
 from .cones import Cone, dual_cone, restrict_arrangement
 from .errors import InvariantError, NotDiscriminantRoot, UnknownSupport
-from .linalg import Vec, dot, is_zero, sub, zero
+from .linalg import Vec, sub, zero
 from .metric import SolidAngle, solid_angle
 from .polyhedra import Polyhedron, inner_normal_cone, normal_fan_support
 from .polynomials import (
@@ -142,11 +142,8 @@ def find_high_multiplicity_cone_root(
         parts = msum.decomposition[v]
         q_of = {i: parts[sup.index(i)] for i in sup}
         rhos = rho_points(phi, v, msum)
-        normals = [
-            sub(rhos[a], rhos[b])
-            for a, b in itertools.combinations(rhos, 2)
-            if not is_zero(sub(rhos[a], rhos[b]))
-        ]
+        # coinciding points give zero normals, which split nothing
+        normals = [sub(rhos[a], rhos[b]) for a, b in itertools.combinations(rhos, 2)]
         cells = restrict_arrangement(inner_normal_cone(m, v), normals)
         for cell in cells:
             for i1, i2, i3 in itertools.combinations(sup, 3):
@@ -155,7 +152,7 @@ def find_high_multiplicity_cone_root(
                     continue
                 # ell((q_i - q_i1) + (i - i1) rho) >= 0 on the cell, all i
                 good = all(
-                    _nonneg_on(cell, tuple(
+                    cell.in_dual(tuple(
                         (qi - q1) + (i - i1) * rr
                         for qi, q1, rr in zip(q_of[i], q_of[i1], r)
                     ))
@@ -173,13 +170,6 @@ def find_high_multiplicity_cone_root(
                                     solid_angle(cell, samples=samples, seed=seed)))
     out.sort(key=lambda cr: (cr.vertex, cr.triple, cr.anchor))
     return out
-
-
-def _nonneg_on(c: Cone, w: Vec) -> bool:
-    """ell(w) >= 0 for every ell in the cone."""
-    return all(dot(w, r) >= 0 for r in c.extreme_rays) and all(
-        dot(w, l) == 0 for l in c.lines
-    )
 
 
 def delta_mu_bound(phi: PolyPolynomial, samples: int = 200_000, seed: int = 0) -> tuple[Fraction, SolidAngle]:

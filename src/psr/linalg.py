@@ -27,7 +27,7 @@ def as_vec(xs: Iterable) -> Vec:
 
 
 def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
-    return sum((x * y for x, y in zip(a, b, strict=True)), ZERO)
+    return sum(x * y for x, y in zip(a, b, strict=True))
 
 
 def add(a: Vec, b: Vec) -> Vec:

@@ -15,9 +15,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .cones import Cone, restrict_arrangement, union_is_convex
+from .cones import Cone, _cone_from_ineqs, restrict_arrangement, union_is_convex
 from .errors import BadIndex, NonGeneric, SizeLimit
-from .linalg import Vec, as_vec, dot, sub
+from .linalg import Vec, as_vec, neg, sub
 from .polyhedra import inner_normal_cone
 from .polynomials import (
     MSum,
@@ -51,11 +51,6 @@ class LabelledFanFv:
         return len(set(vals)) == len(vals)
 
 
-def _in_dual(cone: Cone, x: Vec) -> bool:
-    """Is l(x) >= 0 for every l in the cone? (x lies in the dual cone)."""
-    return all(dot(r, x) >= 0 for r in cone.rays)
-
-
 def build_local_fan(phi: PolyPolynomial, v) -> LabelledFanFv:
     """Construct the labelled fan at a vertex v of the coefficient sum M."""
     msum = coefficient_msum(phi)
@@ -79,14 +74,14 @@ def build_local_fan(phi: PolyPolynomial, v) -> LabelledFanFv:
             # (i,j) primary iff mu(v_i + i r) <= mu(v_k + k r) on the cell,
             # i.e. (v_k - v_i) + (k - i) r lies in the dual of the cell.
             ok = all(
-                _in_dual(cone, tuple(a - b + (k - i) * c for a, b, c in zip(part(k), part(i), r)))
+                cone.in_dual(tuple(a - b + (k - i) * c for a, b, c in zip(part(k), part(i), r)))
                 for k in sup
             )
             if ok:
                 primary.add((i, j))
         secondary = set()
         for p1, p2 in itertools.permutations(pts, 2):
-            if _in_dual(cone, sub(pts[p2], pts[p1])):
+            if cone.in_dual(sub(pts[p2], pts[p1])):
                 secondary.add(p1 + p2)
         cells.append(LabelledCell(cone, frozenset(primary), frozenset(secondary)))
     return LabelledFanFv(phi, key, support, tuple(cells), pts, msum)
@@ -104,10 +99,7 @@ class LCS:
 
 
 def _facet_cones(cell: Cone) -> list[Cone]:
-    out = []
-    for f in cell.facets:
-        out.append(Cone.from_ineqs(list(cell.ineqs) + [f, tuple(-x for x in f)], dim=cell.dim_ambient))
-    return out
+    return [_cone_from_ineqs(cell.dim_ambient, cell.ineq_key | {f, neg(f)}) for f in cell.facets]
 
 
 def validate_lcs(fan: LabelledFanFv, cand: LCS) -> tuple[bool, str | None]:

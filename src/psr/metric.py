@@ -15,6 +15,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .cones import Cone
 from .errors import InvariantError
@@ -52,12 +53,12 @@ def solid_angle(c: Cone, samples: int = 200_000, seed: int = 0) -> SolidAngle:
         if ang > math.pi:
             ang = 2 * math.pi - ang
         return SolidAngle(ang / (2 * math.pi), 0.0)
-    rng = random.Random(seed)
+    gauss = random.Random(seed).gauss
     hits = 0
-    ineqs = c.ineqs
+    rows = [[float(ai) for ai in a] for a in c.ineqs]
     for _ in range(samples):
-        x = [rng.gauss(0.0, 1.0) for _ in range(n)]
-        if all(sum(float(ai) * xi for ai, xi in zip(a, x)) >= 0 for a in ineqs):
+        x = [gauss(0.0, 1.0) for _ in range(n)]
+        if all(sum(map(mul, a, x)) >= 0 for a in rows):
             hits += 1
     p = hits / samples
     se = math.sqrt(max(p * (1 - p), 1e-12) / samples)

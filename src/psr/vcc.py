@@ -25,7 +25,7 @@ from .errors import (
     SizeLimit,
     SupportMismatch,
 )
-from .linalg import Vec, add, as_vec, dot, sub
+from .linalg import Vec, add, as_vec, dot, primitive, sub
 from .localfan import LCS, LabelledFanFv, build_local_fan, enumerate_lcs
 from .polyhedra import Polyhedron, inner_normal_cone, normal_fan_support
 from .polynomials import PolyPolynomial, is_root
@@ -64,7 +64,7 @@ class VCC:
                 if u == v:
                     continue
                 # l(v) <= l(u) for all l in N(v)  <=>  u - v in dual(N(v))
-                if not all(dot(r, sub(u, v)) >= 0 for r in c.rays):
+                if not c.in_dual(sub(u, v)):
                     return False, f"inequality fails for vertices {v}, {u}"
         return True, None
 
@@ -265,12 +265,8 @@ def minimalize(fan: LabelledFanFv, b0: VCC, cap_candidates: int = 1_000_000) -> 
         # the separation inequality of the enlarged collection is linear in
         # the rays of the added cell and independent of the other choices,
         # so inadmissible (cell, vertex) pairs can be pruned up front
-        return all(
-            dot(r, sub(u, gamma)) >= 0
-            for r in fan.cells[k].cone.extreme_rays
-            for u in verts
-            if u != gamma
-        )
+        diffs = [primitive(sub(u, gamma)) for u in verts if u != gamma]
+        return all(dot(r, d) >= 0 for r in fan.cells[k].cone.extreme_rays for d in diffs)
 
     options = [
         [len(verts)] + [i for i, g in enumerate(verts) if admissible(k, g)]

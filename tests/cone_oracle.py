@@ -6,6 +6,11 @@ int-native, memoized rewrite, kept as written: `_int_primitive`,
 returning the four canonical fields).  `primitive` is the old
 `linalg.primitive`, which returned `Fraction` tuples.  `from_rays` and
 `from_ineqs` run the old constructors' bodies with no cache.
+
+`restrict_arrangement` and `covers` are the arrangement refinement as it
+was before int sign tests and key-union construction: `Fraction` dot
+products, both halves of a split built by `Cone.from_ineqs` from
+inequality lists, and no memo.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from functools import reduce
 from math import gcd
 from typing import Sequence
 
+from psr.cones import Cone
 from psr.linalg import Vec, as_vec, is_zero, neg, reduce_mod, rref, zero
 
 
@@ -173,3 +179,38 @@ def from_rays(rays, dim: int) -> tuple[tuple[Vec, ...], ...]:
 
 def from_ineqs(ineqs, dim: int) -> tuple[tuple[Vec, ...], ...]:
     return _canonical(dim, [as_vec(a) for a in ineqs])
+
+
+def fdot(a, b) -> Fraction:
+    return sum((Fraction(x) * Fraction(y) for x, y in zip(a, b, strict=True)), Fraction(0))
+
+
+def restrict_arrangement(support: Cone, normals) -> list[Cone]:
+    sdim = support.dim()
+    cells = [support]
+    for raw in normals:
+        a = as_vec(raw)
+        if is_zero(a):
+            continue
+        nxt: list[Cone] = []
+        for cell in cells:
+            vals = [fdot(a, r) for r in cell.rays]
+            if not (any(v > 0 for v in vals) and any(v < 0 for v in vals)):
+                nxt.append(cell)
+                continue
+            plus = Cone.from_ineqs(list(cell.ineqs) + [a], dim=cell.dim_ambient)
+            minus = Cone.from_ineqs(list(cell.ineqs) + [neg(a)], dim=cell.dim_ambient)
+            for half in (plus, minus):
+                if half.dim() == sdim:
+                    nxt.append(half)
+        cells = nxt
+    return list(dict.fromkeys(cells))
+
+
+def covers(region: Cone, pieces: list[Cone]) -> bool:
+    normals = [a for p in pieces for a in p.facets]
+    for cell in restrict_arrangement(region, normals):
+        w = cell.interior_point()
+        if not any(all(fdot(a, w) >= 0 for a in p.ineqs) for p in pieces):
+            return False
+    return True

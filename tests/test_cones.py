@@ -10,6 +10,7 @@ from psr.cones import (
     Cone,
     _cone_from_ineqs,
     _cone_from_rays,
+    _covers,
     _dd_from_ineqs,
     _key,
     conic_sum,
@@ -266,6 +267,95 @@ def test_dd_bitsets_are_tight_sets(inp):
     assert len(zs) == len(rays)
     for r, z in zip(rays, zs):
         assert z == sum(1 << k for k, a in enumerate(ineqs) if dot(a, r) == 0)
+
+
+# -- key-union construction and int predicates against Fraction references ----
+
+
+def _fit(vecs, dim):
+    """The vectors cut or zero-padded to length dim."""
+    return [tuple(v[:dim]) + (0,) * (dim - len(v)) for v in vecs]
+
+
+@st.composite
+def cone_pairs(draw):
+    """(dim, c1, c2, normals): two cones in one R^dim, each built from rays
+    or from inequalities, and arrangement normals with a zero normal, a
+    non-primitive normal and Fraction entries."""
+    dim, vecs1, _ = draw(st.one_of(cone_inputs(), msum_inputs()))
+    _, vecs2, variant2 = draw(st.one_of(cone_inputs(), msum_inputs()))
+    vecs2, variant2 = _fit(vecs2, dim), _fit(variant2, dim)
+    cones = [
+        draw(st.sampled_from([Cone.from_rays, Cone.from_ineqs]))(vs, dim=dim)
+        for vs in (vecs1, vecs2)
+    ]
+    normals = draw(st.lists(st.sampled_from(variant2), max_size=3)) if variant2 else []
+    normals.append((0,) * dim)
+    normals.append(tuple(3 * x for x in draw(st.tuples(*[st.integers(-2, 2)] * dim))))
+    return dim, cones[0], cones[1], draw(st.permutations(normals))
+
+
+@settings(max_examples=80, deadline=None)
+@given(cone_pairs())
+def test_key_union_construction_matches_reference(inp):
+    dim, c1, c2, normals = inp
+    assert _fields(intersect_cones(c1, c2)) == cone_oracle.from_ineqs(
+        list(c1.ineqs) + list(c2.ineqs), dim)
+    assert _fields(conic_sum(c1, c2)) == cone_oracle.from_rays(
+        list(c1.rays) + list(c2.rays), dim)
+    cells = restrict_arrangement(c1, normals)
+    expected = cone_oracle.restrict_arrangement(c1, normals)
+    assert [_fields(c) for c in cells] == [_fields(c) for c in expected]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(cone_inputs(), msum_inputs()), st.sampled_from(["rays", "ineqs"]), st.data())
+def test_int_predicates_match_fraction_dots(inp, kind, data):
+    dim, vecs, _ = inp
+    c = (Cone.from_rays if kind == "rays" else Cone.from_ineqs)(vecs, dim=dim)
+    frac = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
+    points = [(0,) * dim, c.interior_point()]
+    points += [tuple(F(x, 3) for x in r) for r in c.rays]  # boundary points
+    points += data.draw(st.lists(st.tuples(*[frac] * dim), min_size=1, max_size=4))
+    points.append(tuple(6 * x for x in points[-1]))  # non-primitive
+    fd = cone_oracle.fdot
+    for x in points:
+        assert c.contains(x) == all(fd(a, x) >= 0 for a in c.ineqs)
+        assert c.relint_contains(x) == (
+            all(fd(e, x) == 0 for e in c.span_eqs) and all(fd(a, x) > 0 for a in c.facets))
+        assert c.in_dual(x) == all(fd(r, x) >= 0 for r in c.rays)
+    assert c.relint_contains(c.interior_point())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(ray2, min_size=1, max_size=4),
+       st.lists(st.tuples(ints, ints), max_size=3), st.data())
+def test_covers_ignores_piece_order_and_duplicates(rays, normals, data):
+    support = Cone.from_rays(rays, dim=2)
+    cells = restrict_arrangement(support, normals)
+    pieces = data.draw(st.lists(st.sampled_from(cells), min_size=1, max_size=len(cells)))
+    shuffled = data.draw(st.permutations(pieces + pieces[:1]))
+    _covers.cache_clear()
+    first = covers(support, pieces)
+    _covers.cache_clear()
+    assert covers(support, shuffled) == first == cone_oracle.covers(support, shuffled)
+    assert covers(support, cells)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(cone_inputs(), msum_inputs()), st.sampled_from(["rays", "ineqs"]))
+def test_cached_properties_keep_equality_and_hash(inp, kind):
+    dim, vecs, _ = inp
+    build = Cone.from_rays if kind == "rays" else Cone.from_ineqs
+    c = build(vecs, dim=dim)
+    assert (c.ineq_key, c.ray_key) == (_key(c.ineqs), _key(c.rays))
+    assert {"rays", "ineq_key", "ray_key"} <= vars(c).keys()  # cached on the instance
+    _cone_from_ineqs.cache_clear()
+    _cone_from_rays.cache_clear()
+    fresh = build(vecs, dim=dim)
+    assert fresh is not c
+    assert fresh == c and hash(fresh) == hash(c) and _fields(fresh) == _fields(c)
+    assert _cone_from_ineqs(dim, c.ineq_key) == c == _cone_from_rays(dim, c.ray_key)
 
 
 def test_entries_other_than_int_and_fraction_are_exact():

@@ -38,3 +38,18 @@ def test_library_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_library_has_no_float_outside_metric():
+    # no float ever decides a predicate: only metric.py, whose solid angles
+    # and distances are floats by definition, may make or write one
+    src = Path(psr.vcc.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        if path.name != "metric.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float"
+        or isinstance(node, ast.Constant) and type(node.value) is float
+    ]
+    assert found == []

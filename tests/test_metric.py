@@ -6,6 +6,7 @@ from genutil import poly, pt, seg
 from psr.cones import Cone
 from psr.linalg import as_vec
 from psr.metric import (
+    SolidAngle,
     hausdorff_angle_distance,
     point_polytope_sqdist,
     polytope_hausdorff_sq,
@@ -43,6 +44,16 @@ def test_solid_angle_seed_reproducible():
 
 
 # -- exact polytope Hausdorff -------------------------------------------------
+
+
+def test_solid_angle_monte_carlo_values_are_pinned():
+    # the float rows are converted once before sampling; the random stream
+    # and every product are unchanged, so the values repeat bit for bit
+    c = Cone.from_rays([(1, 0, 0), (1, 2, 0), (0, 1, 3), (2, -1, 1)])
+    assert solid_angle(c, samples=20000, seed=0) == SolidAngle(0.10945, 0.00220760840617171)
+    wedge = Cone.from_ineqs([(1, 0, 0), (0, 1, 0)], dim=3)
+    assert solid_angle(wedge, samples=20000, seed=3) == SolidAngle(
+        0.24705, 0.0030497237374883645)
 
 
 def test_point_polytope_sqdist():
