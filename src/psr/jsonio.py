@@ -17,7 +17,6 @@ from .linalg import Vec, as_vec
 from .localfan import LCS
 from .polyhedra import Polyhedron
 from .polynomials import MultiPolyPolynomial, PolyPolynomial, TropPolynomial
-from .vcc import VCC
 
 
 class ParseError(PsrError):
@@ -141,14 +140,6 @@ def tropical_to_json(psi: TropPolynomial) -> dict:
     }
 
 
-def tropical_from_json(obj: Any) -> TropPolynomial:
-    if not isinstance(obj, Mapping) or "terms" not in obj:
-        raise ParseError("a tropical polynomial needs a 'terms' list")
-    return TropPolynomial.make(
-        {int(t["exp"]): frac_from_str(t["coeff"]) for t in obj["terms"]}
-    )
-
-
 # -- compound objects --------------------------------------------------------
 
 
@@ -158,33 +149,6 @@ def lcs_to_json(vertex_index: int, lcs: LCS) -> dict:
         "cells": list(lcs.cells),
         "pairs": [list(p) for p in lcs.pairs],
     }
-
-
-def lcs_from_json(obj: Any) -> tuple[int, LCS]:
-    if not isinstance(obj, Mapping):
-        raise ParseError("a local compatible system must be an object")
-    try:
-        cells = tuple(int(c) for c in obj["cells"])
-        pairs = tuple((int(p[0]), int(p[1])) for p in obj["pairs"])
-        return int(obj.get("vertex_index", 0)), LCS(cells, pairs)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"malformed local compatible system: {exc}") from exc
-
-
-def vcc_to_json(g: VCC) -> dict:
-    return {
-        "pairs": [
-            {"vertex": vec_to_json(v), "cone": cone_to_json(c)} for v, c in g.pairs
-        ]
-    }
-
-
-def vcc_from_json(obj: Any) -> VCC:
-    if not isinstance(obj, Mapping) or "pairs" not in obj:
-        raise ParseError("a vertex-cone collection needs a 'pairs' list")
-    return VCC.make(
-        [(vec_from_json(t["vertex"]), cone_from_json(t["cone"])) for t in obj["pairs"]]
-    )
 
 
 def locals_to_json(locals_map: Mapping[Vec, Polyhedron]) -> list:

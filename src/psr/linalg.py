@@ -23,7 +23,7 @@ def vec(*xs) -> Vec:
 
 
 def as_vec(xs: Iterable) -> Vec:
-    return tuple(Fraction(x) for x in xs)
+    return tuple(x if type(x) is Fraction else Fraction(x) for x in xs)
 
 
 def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:

@@ -102,6 +102,33 @@ def _facet_cones(cell: Cone) -> list[Cone]:
     return [_cone_from_ineqs(cell.dim_ambient, cell.ineq_key | {f, neg(f)}) for f in cell.facets]
 
 
+def label_violation(fan: LabelledFanFv, cand: LCS) -> str | None:
+    """The first of conditions 2, 3 and 1 that a structurally sound system
+    violates, worded as `validate_lcs` reports it; None if all three hold.
+
+    The label lookups of conditions 2 and 3 run before the convexity test
+    of condition 1.
+    """
+    # Condition 2: primary labels
+    for k, pair in cand.items():
+        if pair not in fan.cells[k].primary:
+            return f"condition 2: {pair} not primary on cell {k}"
+    # Condition 3: pairwise secondary labels
+    for (ka, pa), (kb, pb) in itertools.permutations(cand.items(), 2):
+        if pa == pb:
+            continue
+        if pa + pb not in fan.cells[ka].secondary:
+            return f"condition 3: {pa + pb} not secondary on cell {ka}"
+    # Condition 1: per-vertex cone unions are convex
+    groups: dict[Vec, list[int]] = {}
+    for k, pair in cand.items():
+        groups.setdefault(fan.rho[pair], []).append(k)
+    for ks in groups.values():
+        if len(ks) > 1 and not union_is_convex([fan.cells[k].cone for k in ks]):
+            return f"condition 1: cells {ks} do not union to a convex cone"
+    return None
+
+
 def validate_lcs(fan: LabelledFanFv, cand: LCS) -> tuple[bool, str | None]:
     """Check the four compatibility conditions; returns (ok, violation)."""
     t = len(cand.cells)
@@ -114,23 +141,9 @@ def validate_lcs(fan: LabelledFanFv, cand: LCS) -> tuple[bool, str | None]:
             return False, f"cell index {k} out of range"
         if tuple(sorted(pair)) not in {tuple(sorted(p)) for p in fan.rho}:
             return False, f"pair {pair} not in support pairs"
-    # Condition 2: primary labels
-    for k, pair in cand.items():
-        if pair not in fan.cells[k].primary:
-            return False, f"condition 2: {pair} not primary on cell {k}"
-    # Condition 3: pairwise secondary labels
-    for (ka, pa), (kb, pb) in itertools.permutations(cand.items(), 2):
-        if pa == pb:
-            continue
-        if pa + pb not in fan.cells[ka].secondary:
-            return False, f"condition 3: {pa + pb} not secondary on cell {ka}"
-    # Condition 1: per-vertex cone unions are convex
-    groups: dict[Vec, list[int]] = {}
-    for k, pair in cand.items():
-        groups.setdefault(fan.rho[pair], []).append(k)
-    for gamma, ks in groups.items():
-        if len(ks) > 1 and not union_is_convex([fan.cells[k].cone for k in ks]):
-            return False, f"condition 1: cells {ks} do not union to a convex cone"
+    violation = label_violation(fan, cand)
+    if violation is not None:
+        return False, violation
     # Condition 4: facets against outside neighbours
     chosen = set(cand.cells)
     sdim = fan.support.dim()

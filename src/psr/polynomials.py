@@ -340,11 +340,6 @@ def _lower_hull(pts: list[tuple[int, Fraction]]) -> list[tuple[int, Fraction]]:
     return hull
 
 
-def tropical_envelope_signature(psi: TropPolynomial) -> tuple:
-    """Canonical form of the function y -> min_i(m_i + i*y)."""
-    return tuple(_lower_hull(list(psi.terms)))
-
-
 # ---------------------------------------------------------------------------
 # same-function decision
 

@@ -11,6 +11,8 @@ from fractions import Fraction
 
 from .cones import (
     Cone,
+    _cone_from_ineqs,
+    _key,
     conic_sum,
     covers,
     dual_cone,
@@ -26,7 +28,7 @@ from .errors import (
     SupportMismatch,
 )
 from .linalg import Vec, add, as_vec, dot, primitive, sub
-from .localfan import LCS, LabelledFanFv, build_local_fan, enumerate_lcs
+from .localfan import LCS, LabelledFanFv, build_local_fan, enumerate_lcs, label_violation
 from .polyhedra import Polyhedron, inner_normal_cone, normal_fan_support
 from .polynomials import PolyPolynomial, is_root
 
@@ -101,9 +103,8 @@ def vcc_convex_hull(g1: VCC, g2: VCC) -> VCC:
                     if inter.is_full_dim():
                         put(v, inter)
             else:
-                restricted = Cone.from_ineqs(
-                    list(c.ineqs) + [sub(u, v) for u in verts_b], dim=c.dim_ambient
-                )
+                restricted = _cone_from_ineqs(
+                    c.dim_ambient, c.ineq_key | _key(sub(u, v) for u in verts_b))
                 if restricted.is_full_dim():
                     put(v, restricted)
     return VCC.make(out.values())
@@ -249,9 +250,21 @@ def minimalize(fan: LabelledFanFv, b0: VCC, cap_candidates: int = 1_000_000) -> 
     """A Minkowski-Weyl minimal VCC solution with the vertex set of b0.
 
     Starting from the completion, unassigned fan cells are distributed over
-    the vertices in all ways; candidates whose per-vertex cell unions stay
-    convex, form a valid VCC, and remain roots are kept, and a candidate
-    with inclusion-maximal total cell set wins.
+    the vertices in all ways; among the candidates that are roots, one with
+    inclusion-maximal total cell set wins.
+
+    When the fan is generic at its vertex and every vertex is a
+    displacement point, a candidate is the LCS that labels each cell by the
+    pair of its vertex, and it is decided by LCS conditions 2, 3 and 1
+    (`label_violation`) without evaluating phi.  Condition 3 is
+    `VCC.is_valid`, because the dual of a union of cells is the
+    intersection of their duals; condition 1 is the convexity of each
+    vertex's union.  Condition 4 is left out: it rejects a system that a
+    neighbour cell could extend, which makes it a maximality test, and the
+    candidates here are systems this search is still extending (a one-cell
+    VCC can be a root that condition 4 rejects).  Only the winner is
+    evaluated, as a check.  Any other input decides each candidate by
+    convexity, validity and evaluation.
     """
     com = completion(fan, b0)
     assigned: dict[Vec, set[int]] = {}
@@ -260,13 +273,13 @@ def minimalize(fan: LabelledFanFv, b0: VCC, cap_candidates: int = 1_000_000) -> 
     verts = sorted(assigned)
     used = set().union(*assigned.values())
     free = [k for k in range(len(fan.cells)) if k not in used]
+    # the separation inequality of the enlarged collection is linear in the
+    # rays of an added cell and independent of the other choices, so
+    # inadmissible (cell, vertex) pairs are pruned up front
+    diffs = {g: [primitive(sub(u, g)) for u in verts if u != g] for g in verts}
 
     def admissible(k: int, gamma: Vec) -> bool:
-        # the separation inequality of the enlarged collection is linear in
-        # the rays of the added cell and independent of the other choices,
-        # so inadmissible (cell, vertex) pairs can be pruned up front
-        diffs = [primitive(sub(u, gamma)) for u in verts if u != gamma]
-        return all(dot(r, d) >= 0 for r in fan.cells[k].cone.extreme_rays for d in diffs)
+        return all(dot(r, d) >= 0 for r in fan.cells[k].cone.extreme_rays for d in diffs[gamma])
 
     options = [
         [len(verts)] + [i for i, g in enumerate(verts) if admissible(k, g)]
@@ -278,21 +291,27 @@ def minimalize(fan: LabelledFanFv, b0: VCC, cap_candidates: int = 1_000_000) -> 
     if n_options > cap_candidates:
         raise SizeLimit(f"{n_options} enlargements exceed cap {cap_candidates}")
 
-    def build(assignment: dict[Vec, set[int]]) -> VCC | None:
-        pairs = []
-        for gamma in verts:
-            cones = [fan.cells[k].cone for k in sorted(assignment[gamma])]
-            if len(cones) > 1 and not union_is_convex(cones):
-                return None
-            pairs.append((gamma, conic_sum(*cones)))
-        cand = VCC.make(pairs)
-        if not cand.is_valid()[0]:
+    rho_to_pair = {pt: pair for pair, pt in fan.rho.items()}
+    by_labels = fan.is_generic_at_vertex() and all(g in rho_to_pair for g in verts)
+
+    def evaluated(assignment: dict[Vec, set[int]]) -> VCC | None:
+        """The candidate's VCC if its unions are convex, it is valid and a root."""
+        if any(len(ks) > 1 and not union_is_convex([fan.cells[k].cone for k in sorted(ks)])
+               for ks in assignment.values()):
             return None
-        if not vcc_is_root(fan.phi, cand)[0]:
+        cand = VCC.make(
+            (g, conic_sum(*(fan.cells[k].cone for k in sorted(ks)))) for g, ks in assignment.items())
+        if not cand.is_valid()[0] or not vcc_is_root(fan.phi, cand)[0]:
             return None
         return cand
 
-    best = com
+    def accepts(assignment: dict[Vec, set[int]]) -> bool:
+        if not by_labels:
+            return evaluated(assignment) is not None
+        items = sorted((k, rho_to_pair[g]) for g, ks in assignment.items() for k in ks)
+        return label_violation(fan, LCS(tuple(k for k, _ in items), tuple(p for _, p in items))) is None
+
+    best: dict[Vec, set[int]] | None = None
     best_cells = frozenset(used)
     for choice in itertools.product(*options):
         extra: dict[Vec, set[int]] = {g: set(ks) for g, ks in assigned.items()}
@@ -300,12 +319,14 @@ def minimalize(fan: LabelledFanFv, b0: VCC, cap_candidates: int = 1_000_000) -> 
             if pick < len(verts):
                 extra[verts[pick]].add(cell)
         cells_now = frozenset().union(*extra.values())
-        if cells_now == best_cells and best is not None:
-            continue
-        cand = build(extra)
-        if cand is not None and best_cells < cells_now:
-            best, best_cells = cand, cells_now
-    return best
+        if best_cells < cells_now and accepts(extra):
+            best, best_cells = extra, cells_now
+    if best is None:
+        return com
+    out = evaluated(best)
+    if out is None:
+        raise InvariantError("the winning enlargement is not a root")
+    return out
 
 
 def lcs_to_vcc(fan: LabelledFanFv, lcs: LCS) -> VCC:
