@@ -39,7 +39,7 @@ from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 from .errors import SizeLimit
-from .linalg import Vec, neg, primitive, reduce_mod, rref, zero
+from .linalg import Vec, neg, primitive, reduce_mod, rref
 
 _CACHE_SIZE = 512
 
@@ -265,13 +265,13 @@ class Cone:
         v = primitive(x)
         return all(_idot(r, v) >= 0 for r in self.rays)
 
-    def interior_point(self) -> Vec:
-        """A point in the relative interior."""
-        total = zero(self.dim_ambient)
+    def interior_point(self) -> IntVec:
+        """A point in the relative interior, as ints: the sum of the extreme
+        rays (the origin for a linear space, the origin cone included)."""
+        total = (0,) * self.dim_ambient
         for r in self.extreme_rays:
             total = tuple(a + b for a, b in zip(total, r))
-        # a pure linear space (or the origin): the origin is interior
-        return total if any(total) else zero(self.dim_ambient)
+        return total
 
     def relint_contains(self, x: Sequence) -> bool:
         # ineq_key holds the facets and both signs of the span equations

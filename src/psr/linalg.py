@@ -107,10 +107,6 @@ def rank(rows: Iterable[Vec]) -> int:
     return len(rref(list(rows)))
 
 
-def in_span(v: Vec, basis: list[Vec]) -> bool:
-    return rank(basis + [v]) == rank(basis)
-
-
 def reduce_mod(v: Vec, rref_basis: list[Vec]) -> Vec:
     """Subtract the projection of v onto the row space of an RREF basis.
 
@@ -155,10 +151,3 @@ def solve(rows: list[Vec], rhs: list[Fraction]) -> Vec | None:
             return None
     return tuple(x)
 
-
-def lex_positive(v: Vec) -> bool:
-    """First nonzero coordinate is positive (zero vector: False)."""
-    for x in v:
-        if x != 0:
-            return x > 0
-    return False

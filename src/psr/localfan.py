@@ -15,19 +15,18 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .cones import Cone, _cone_from_ineqs, restrict_arrangement, union_is_convex
+from .cones import Cone, restrict_arrangement, union_is_convex
 from .errors import BadIndex, NonGeneric, SizeLimit
-from .linalg import Vec, as_vec, neg, sub
+from .linalg import Vec, as_vec, dot
 from .polyhedra import inner_normal_cone
 from .polynomials import (
     MSum,
+    Pair,
     PolyPolynomial,
+    arrangement_normals,
     coefficient_msum,
-    displacement_hyperplanes,
-    rho_points,
+    displacement_normals,
 )
-
-Pair = tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -52,38 +51,32 @@ class LabelledFanFv:
 
 
 def build_local_fan(phi: PolyPolynomial, v) -> LabelledFanFv:
-    """Construct the labelled fan at a vertex v of the coefficient sum M."""
+    """Construct the labelled fan at a vertex v of the coefficient sum M.
+
+    N_M(v) is cut by the displacement hyperplanes, and every label is the
+    sign of one of those normals on a cell.  (i, j) is primary on a cell
+    iff every family-one normal (v_k - v_i) + (k - i) rho_ij is >= 0 on it,
+    that is mu(v_i + i rho) <= mu(v_k + k rho); p1 + p2 is secondary iff
+    the family-two normal rho_p2 - rho_p1 is >= 0 on it.  Each nonzero
+    normal cut the arrangement, so a cell lies on one closed side of it and
+    the normal has one sign on the cell's relative interior: one int dot
+    with an interior point decides the test for the whole cell.  A zero
+    normal, or a cell inside the hyperplane, dots to 0 and passes.
+    """
     msum = coefficient_msum(phi)
     key = as_vec(v)
-    if key not in msum.decomposition:
+    parts = msum.decomposition.get(key)
+    if parts is None:
         raise BadIndex(f"{v} is not a vertex of the coefficient sum")
     support = inner_normal_cone(msum.value, key)
-    normals = displacement_hyperplanes(phi, key, msum)
-    cones = restrict_arrangement(support, normals)
-    pts = rho_points(phi, key, msum)
-    sup = msum.support
-    parts = msum.decomposition[key]
-
-    def part(i: int) -> Vec:
-        return parts[sup.index(i)]
-
+    pts, first, second = displacement_normals(msum.support, parts)
     cells = []
-    for cone in cones:
-        primary = set()
-        for (i, j), r in pts.items():
-            # (i,j) primary iff mu(v_i + i r) <= mu(v_k + k r) on the cell,
-            # i.e. (v_k - v_i) + (k - i) r lies in the dual of the cell.
-            ok = all(
-                cone.in_dual(tuple(a - b + (k - i) * c for a, b, c in zip(part(k), part(i), r)))
-                for k in sup
-            )
-            if ok:
-                primary.add((i, j))
-        secondary = set()
-        for p1, p2 in itertools.permutations(pts, 2):
-            if cone.in_dual(sub(pts[p2], pts[p1])):
-                secondary.add(p1 + p2)
-        cells.append(LabelledCell(cone, frozenset(primary), frozenset(secondary)))
+    for cone in restrict_arrangement(support, arrangement_normals(pts, first, second)):
+        w = cone.interior_point()
+        primary = frozenset(
+            pair for pair in pts if all(dot(first[pair + (k,)], w) >= 0 for k in msum.support))
+        secondary = frozenset(p1 + p2 for (p1, p2), h in second.items() if dot(h, w) >= 0)
+        cells.append(LabelledCell(cone, primary, secondary))
     return LabelledFanFv(phi, key, support, tuple(cells), pts, msum)
 
 
@@ -98,8 +91,52 @@ class LCS:
         return tuple(zip(self.cells, self.pairs))
 
 
-def _facet_cones(cell: Cone) -> list[Cone]:
-    return [_cone_from_ineqs(cell.dim_ambient, cell.ineq_key | {f, neg(f)}) for f in cell.facets]
+Incidence = tuple[list[list[tuple]], dict[tuple, list[int]]]
+
+
+def _facet_incidence(fan: LabelledFanFv) -> Incidence:
+    """Each cell's codimension-1 facets, in facet order, and for each such
+    facet the cells that have it, in index order.
+
+    A face of a cone has the cone's lineality, and its extreme rays are
+    the cone's extreme rays on it, so (lineality, extreme rays on the
+    facet hyperplane) names a facet exactly, with no cone built.
+    """
+    sdim = fan.support.dim()
+    facets: list[list[tuple]] = []
+    on: dict[tuple, list[int]] = {}
+    for idx, cell in enumerate(fan.cells):
+        c = cell.cone
+        facets.append([] if c.dim() != sdim else [
+            (c.lines, frozenset(r for r in c.extreme_rays if dot(f, r) == 0)) for f in c.facets])
+        for f in facets[-1]:
+            on.setdefault(f, []).append(idx)
+    return facets, on
+
+
+def _neighbour_violation(fan: LabelledFanFv, cand: LCS, incidence: Incidence) -> str | None:
+    """Condition 4 on a system that satisfies conditions 1-3: no facet of a
+    chosen cell l, shared with no other chosen cell, leads to a neighbour
+    cell that carries l's pair as primary and all its secondary labels."""
+    facets, on = incidence
+    chosen = set(cand.cells)
+    for l, pair in cand.items():
+        for facet in facets[l]:
+            cells = on[facet]
+            if any(o != l and o in chosen for o in cells):
+                continue  # a facet between two chosen cells
+            neighbour = next((o for o in cells if o != l), None)
+            if neighbour is None:
+                continue  # boundary facet of the support: no constraint
+            ncell = fan.cells[neighbour]
+            if pair not in ncell.primary:
+                continue
+            if all(pair + pb in ncell.secondary for _, pb in cand.items() if pb != pair):
+                return (
+                    f"condition 4: neighbour cell {neighbour} of cell {l} "
+                    f"carries primary {pair} and all secondary labels"
+                )
+    return None
 
 
 def label_violation(fan: LabelledFanFv, cand: LCS) -> str | None:
@@ -142,40 +179,9 @@ def validate_lcs(fan: LabelledFanFv, cand: LCS) -> tuple[bool, str | None]:
         if tuple(sorted(pair)) not in {tuple(sorted(p)) for p in fan.rho}:
             return False, f"pair {pair} not in support pairs"
     violation = label_violation(fan, cand)
-    if violation is not None:
-        return False, violation
-    # Condition 4: facets against outside neighbours
-    chosen = set(cand.cells)
-    sdim = fan.support.dim()
-    facet_map = {k: _facet_cones(fan.cells[k].cone) for k in cand.cells}
-    for l, pair in cand.items():
-        for facet in facet_map[l]:
-            if facet.dim() != sdim - 1:
-                continue
-            # must be a facet of l alone among the chosen cells
-            if any(
-                other != l and any(facet == f2 for f2 in facet_map[other])
-                for other in cand.cells
-            ):
-                continue
-            neighbour = None
-            for idx, cell in enumerate(fan.cells):
-                if idx in chosen or idx == l:
-                    continue
-                if any(facet == f2 for f2 in _facet_cones(cell.cone)):
-                    neighbour = idx
-                    break
-            if neighbour is None:
-                continue  # boundary facet of the support: no constraint
-            ncell = fan.cells[neighbour]
-            if pair not in ncell.primary:
-                continue
-            if all(pair + pb in ncell.secondary for _, pb in cand.items() if pb != pair):
-                return False, (
-                    f"condition 4: neighbour cell {neighbour} of cell {l} "
-                    f"carries primary {pair} and all secondary labels"
-                )
-    return True, None
+    if violation is None:
+        violation = _neighbour_violation(fan, cand, _facet_incidence(fan))
+    return violation is None, violation
 
 
 def enumerate_lcs(
@@ -204,6 +210,7 @@ def enumerate_lcs(
         if total > cap_candidates:
             raise SizeLimit(f"candidate count exceeds cap {cap_candidates}")
 
+    incidence = _facet_incidence(fan)
     out: list[LCS] = []
 
     def compatible(picked: list[tuple[int, Pair]], k: int, pair: Pair) -> bool:
@@ -221,8 +228,8 @@ def enumerate_lcs(
         if idx == n_cells:
             if picked:
                 cand = LCS(tuple(k for k, _ in picked), tuple(p for _, p in picked))
-                ok, _ = validate_lcs(fan, cand)
-                if ok:
+                if (label_violation(fan, cand) is None
+                        and _neighbour_violation(fan, cand, incidence) is None):
                     out.append(cand)
             return
         dfs(idx + 1, picked)

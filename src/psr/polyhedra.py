@@ -221,8 +221,3 @@ def omega_min_vertex(p: Polyhedron, omega: OmegaOrder) -> Vec:
         raise Unbounded("omega order unbounded below on polyhedron")
     return min(p.vertices, key=omega.key)
 
-
-def vertex_for_functional(p: Polyhedron, ell: Sequence, omega: OmegaOrder) -> Vec:
-    """Vertex minimising ell, ties broken by the omega order."""
-    cands = p.argmin_vertices(ell)
-    return min(cands, key=omega.key)

@@ -14,11 +14,12 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Mapping, Sequence
 
-from .cones import Cone, dual_cone
+from .cones import Cone, IntVec, dual_cone
 from .errors import BadIndex, InvariantError, NotARoot, Unbounded
-from .linalg import Vec, as_vec, sub, zero
+from .linalg import Vec, add, as_vec, neg, primitive, sub, zero
 from .polyhedra import (
     OmegaOrder,
     Polyhedron,
@@ -28,6 +29,8 @@ from .polyhedra import (
     normal_fan_support,
     omega_min_vertex,
 )
+
+Pair = tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -187,22 +190,35 @@ class MSum:
 
 @lru_cache(maxsize=256)
 def coefficient_msum(phi: PolyPolynomial) -> MSum:
-    m = None
-    for _, q in phi.terms:
-        m = q if m is None else minkowski_sum(m, q)
-    decomp: dict[Vec, tuple[Vec, ...]] = {}
-    for nu in m.vertices:
-        ell = inner_normal_cone(m, nu).interior_point()
-        parts = []
-        for _, q in phi.terms:
-            mins = q.argmin_vertices(ell)
-            if len(mins) != 1:
-                raise InvariantError("interior functional exposes no unique vertex")
-            parts.append(mins[0])
-        if tuple(sum(c) for c in zip(*parts)) != nu:
-            raise InvariantError("the exposed coefficient vertices do not sum to the vertex")
-        decomp[nu] = tuple(parts)
+    """M = Q_0 + ... + Q_d with the decomposition of every vertex of M.
+
+    A vertex nu of P + Q is u + w for exactly one point u of P and one w of
+    Q, and those are vertices: a functional ell interior to the normal cone
+    of nu attains its minimum over P + Q only at nu, so u + w = nu forces u
+    and w to minimise ell over P and over Q, and the faces ell exposes there
+    are single points (their sum is the face {nu}).  So the Minkowski fold
+    carries, for every sum of a vertex of the partial sum and a vertex of
+    the next coefficient, the parts that produced it, and keeps those of the
+    new sum's vertices.
+    """
+    (_, m), *rest = phi.terms
+    decomp: dict[Vec, tuple[Vec, ...]] = {u: (u,) for u in m.vertices}
+    for _, q in rest:
+        sums = {add(u, w): parts + (w,) for u, parts in decomp.items() for w in q.vertices}
+        m = minkowski_sum(m, q)
+        try:
+            decomp = {nu: sums[nu] for nu in m.vertices}
+        except KeyError as exc:
+            raise InvariantError(
+                f"vertex {exc.args[0]} of a Minkowski sum is no sum of vertices") from None
     return MSum(m, phi.support, decomp)
+
+
+def _parts(msum: MSum, nu: Sequence) -> tuple[Vec, ...]:
+    parts = msum.decomposition.get(as_vec(nu))
+    if parts is None:
+        raise BadIndex(f"{nu} is not a vertex of the coefficient sum")
+    return parts
 
 
 def rho(phi: PolyPolynomial, nu: Sequence, i: int, j: int, msum: MSum | None = None) -> Vec:
@@ -211,26 +227,25 @@ def rho(phi: PolyPolynomial, nu: Sequence, i: int, j: int, msum: MSum | None = N
         raise BadIndex("rho needs two distinct exponents")
     if msum is None:
         msum = coefficient_msum(phi)
-    key = as_vec(nu)
-    if key not in msum.decomposition:
-        raise BadIndex(f"{nu} is not a vertex of the coefficient sum")
+    parts = _parts(msum, nu)
     sup = msum.support
     if i not in sup or j not in sup:
         raise BadIndex(f"exponents {i},{j} not both in support {sup}")
-    parts = msum.decomposition[key]
-    nu_i = parts[sup.index(i)]
-    nu_j = parts[sup.index(j)]
-    return tuple(-(a - b) / (i - j) for a, b in zip(nu_i, nu_j))
+    return _rho_points((i, j), (parts[sup.index(i)], parts[sup.index(j)]))[i, j]
 
 
-def rho_points(phi: PolyPolynomial, nu: Sequence, msum: MSum | None = None) -> dict[tuple[int, int], Vec]:
+def _rho_points(sup: tuple[int, ...], parts: Sequence[Vec]) -> dict[Pair, Vec]:
+    return {
+        (i, j): tuple(-(a - b) / (i - j) for a, b in zip(parts[x], parts[y]))
+        for (x, i), (y, j) in itertools.combinations(enumerate(sup), 2)
+    }
+
+
+def rho_points(phi: PolyPolynomial, nu: Sequence, msum: MSum | None = None) -> dict[Pair, Vec]:
     """All rho points at a vertex, indexed by unordered support pairs i < j."""
     if msum is None:
         msum = coefficient_msum(phi)
-    return {
-        (i, j): rho(phi, nu, i, j, msum)
-        for i, j in itertools.combinations(msum.support, 2)
-    }
+    return _rho_points(msum.support, _parts(msum, nu))
 
 
 def is_generic(phi: PolyPolynomial) -> tuple[bool, tuple | None]:
@@ -240,8 +255,8 @@ def is_generic(phi: PolyPolynomial) -> tuple[bool, tuple | None]:
     """
     msum = coefficient_msum(phi)
     for nu in msum.value.vertices:
-        pts = rho_points(phi, nu, msum)
-        seen: dict[Vec, tuple[int, int]] = {}
+        pts = _rho_points(msum.support, msum.decomposition[nu])
+        seen: dict[Vec, Pair] = {}
         for pair, pt in pts.items():
             if pt in seen:
                 return False, (nu, seen[pt], pair)
@@ -249,10 +264,53 @@ def is_generic(phi: PolyPolynomial) -> tuple[bool, tuple | None]:
     return True, None
 
 
+def displacement_normals(
+    sup: tuple[int, ...], parts: Sequence[Vec]
+) -> tuple[dict[Pair, Vec], dict[tuple[int, int, int], IntVec], dict[tuple[Pair, Pair], IntVec]]:
+    """The rho points at a vertex with coefficient parts `parts` (in
+    support order), and the normals of the two hyperplane families that
+    refine its normal cone, as primitive int vectors (zero if degenerate).
+
+    - family one, key (i, j, k): (nu_k - nu_i) + (k - i) * rho_ij.  A
+      functional ell is >= 0 on it iff the piece ell(nu_k) + k y is not
+      below ell(nu_i) + i y at y = ell(rho_ij);
+    - family two, key (p1, p2) for distinct pairs: rho_p2 - rho_p1.
+
+    Both are computed on P_i = L nu_i, the parts scaled to ints by their
+    common denominator L, and scaled by positive ints, which keeps every
+    sign: with rho_ij = (nu_i - nu_j)/(j - i) and i < j, family one times
+    L (j - i) is (j - i)(P_k - P_i) + (k - i)(P_i - P_j), and family two
+    times L (j1 - i1)(j2 - i2) is (j1 - i1)(P_i2 - P_j2) - (j2 - i2)(P_i1 - P_j1).
+    """
+    pts = _rho_points(sup, parts)
+    den = lcm(*(x.denominator for p in parts for x in p))
+    ip = {i: [x.numerator * (den // x.denominator) for x in p] for i, p in zip(sup, parts)}
+    first = {
+        (i, j, k): primitive(tuple(
+            (j - i) * (a - b) + (k - i) * (b - c) for a, b, c in zip(ip[k], ip[i], ip[j])))
+        for i, j in pts
+        for k in sup
+    }
+    second: dict[tuple[Pair, Pair], IntVec] = {}
+    for (i1, j1), (i2, j2) in itertools.combinations(pts, 2):
+        h = primitive(tuple((j1 - i1) * (a - b) - (j2 - i2) * (c - d)
+                            for a, b, c, d in zip(ip[i2], ip[j2], ip[i1], ip[j1])))
+        second[(i1, j1), (i2, j2)], second[(i2, j2), (i1, j1)] = h, neg(h)
+    return pts, first, second
+
+
+def arrangement_normals(pts: dict[Pair, Vec], first: dict, second: dict) -> list[IntVec]:
+    """The nonzero normals of `displacement_normals` in arrangement order:
+    family one by pair and then k, family two rho_p1 - rho_p2 by pairs
+    (p1, p2), p1 first.  Cell indices follow this order."""
+    return [h for h in first.values() if any(h)] + [
+        h for h in (second[p2, p1] for p1, p2 in itertools.combinations(pts, 2)) if any(h)]
+
+
 def displacement_hyperplanes(
     phi: PolyPolynomial, nu: Sequence, msum: MSum | None = None
-) -> list[Vec]:
-    """Normals of the two hyperplane families refining N_M(nu).
+) -> list[IntVec]:
+    """Normals of the two hyperplane families refining N_M(nu), primitive.
 
     Family one compares a coefficient vertex against the displacement line
     of a pair: (nu_k - nu_i) + (k - i) * rho_{i,j}; family two compares two
@@ -261,23 +319,7 @@ def displacement_hyperplanes(
     """
     if msum is None:
         msum = coefficient_msum(phi)
-    key = as_vec(nu)
-    sup = msum.support
-    parts = msum.decomposition[key]
-    pts = rho_points(phi, nu, msum)
-    normals: list[Vec] = []
-    for (i, j), r in pts.items():
-        vi = parts[sup.index(i)]
-        for k in sup:
-            vk = parts[sup.index(k)]
-            h = tuple(a - b + (k - i) * c for a, b, c in zip(vk, vi, r))
-            if any(x != 0 for x in h):
-                normals.append(h)
-    for (p1, r1), (p2, r2) in itertools.combinations(pts.items(), 2):
-        h = sub(r1, r2)
-        if any(x != 0 for x in h):
-            normals.append(h)
-    return normals
+    return arrangement_normals(*displacement_normals(msum.support, _parts(msum, nu)))
 
 
 def affine_cone_root(phi: PolyPolynomial, omega: OmegaOrder) -> Polyhedron:
@@ -403,7 +445,7 @@ def same_function(phi1: PolyPolynomial, phi2: PolyPolynomial) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# product form and polyhedralisation
+# product form
 
 
 def product_expand(q: Polyhedron, factors: Sequence[Polyhedron]) -> PolyPolynomial:
@@ -426,8 +468,3 @@ def product_expand(q: Polyhedron, factors: Sequence[Polyhedron]) -> PolyPolynomi
                 nxt[e] = cp
         terms = nxt
     return PolyPolynomial.make(terms)
-
-
-def polyhedralise(nvars: int, coeffs: Mapping[tuple[int, ...], Polyhedron]) -> MultiPolyPolynomial:
-    """Constructor: multivariate polynomial from exponent -> polyhedron data."""
-    return MultiPolyPolynomial.make(nvars, coeffs)

@@ -141,41 +141,6 @@ def _check_support_in_coefficients(phi: PolyPolynomial, g: VCC) -> None:
                 )
 
 
-def _deshift(total: VCC, base: VCC) -> VCC:
-    """Remove one factor of `base` from every vertex of `total`.
-
-    Each vertex cone of `total` is contained in the cone of exactly one
-    vertex of `base`; subtract that vertex.  Pieces landing on the same
-    point are merged conically.
-    """
-    groups: dict[Vec, list[Cone]] = {}
-    for w, c in total.pairs:
-        owner = None
-        for u, cu in base.pairs:
-            if cu.contains_cone(c):
-                owner = u
-                break
-        if owner is None:
-            raise InvariantError("shifted vertex cone has no owner in the base")
-        groups.setdefault(sub(w, owner), []).append(c)
-    return VCC.make([(x, conic_sum(*cones)) for x, cones in groups.items()])
-
-
-def vcc_evaluate(phi: PolyPolynomial, g: VCC) -> tuple[VCC, dict[int, VCC]]:
-    """Evaluate a polynomial at a vertex-cone collection.
-
-    A constant term is handled by the invisible exponent shift phi * Y:
-    displacement points and labels are shift-invariant and the root sets
-    coincide, so results are reported de-shifted.
-    """
-    total, shifted_summands, _ = _evaluate_shifted(phi, g)
-    shift = 1 if 0 in phi.support else 0
-    if shift:
-        summands = {i: _deshift(s, g) for i, s in shifted_summands.items()}
-        return _deshift(total, g), summands
-    return total, shifted_summands
-
-
 def _evaluate_shifted(phi: PolyPolynomial, g: VCC) -> tuple[VCC, dict[int, VCC], int]:
     _check_support_in_coefficients(phi, g)
     dim = phi.dim_ambient

@@ -137,6 +137,24 @@ def test_interior_point_in_relative_interior():
     assert q.relint_contains(p)
 
 
+def test_interior_point_is_int_and_relatively_interior():
+    cones = [
+        Cone.origin(2),
+        Cone.full_space(3),
+        Cone.from_rays([(1, 0, 0), (-1, 0, 0)]),  # a line
+        Cone.from_rays([(1, 0), (-1, 0), (0, 1)]),  # a half-plane
+        Cone.from_rays([(1, 0, 0), (-1, 0, 0), (F(1, 2), 1, 0), (0, 1, 1)]),
+        Cone.from_rays([(F(1, 3), 2), (5, F(-1, 2))]),
+    ]
+    assert any(c.lines for c in cones)
+    for c in cones:
+        w = c.interior_point()
+        assert all(type(x) is int for x in w)
+        assert len(w) == c.dim_ambient
+        assert c.relint_contains(w)
+    assert Cone.origin(2).interior_point() == (0, 0)
+
+
 def test_restrict_arrangement_splits_quadrant():
     q = C((1, 0), (0, 1))
     cells = restrict_arrangement(q, [as_vec([1, -1])])
@@ -325,6 +343,7 @@ def test_int_predicates_match_fraction_dots(inp, kind, data):
             all(fd(e, x) == 0 for e in c.span_eqs) and all(fd(a, x) > 0 for a in c.facets))
         assert c.in_dual(x) == all(fd(r, x) >= 0 for r in c.rays)
     assert c.relint_contains(c.interior_point())
+    assert all(type(x) is int for x in c.interior_point())
 
 
 @settings(max_examples=60, deadline=None)

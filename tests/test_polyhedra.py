@@ -19,7 +19,6 @@ from psr.polyhedra import (
     normal_fan,
     normal_fan_support,
     omega_min_vertex,
-    vertex_for_functional,
 )
 
 ints = st.integers(-5, 5)
@@ -89,7 +88,7 @@ def test_omega_min_vertex_ties_break_lexicographically():
     sq = poly((0, 0), (1, 0), (0, 1), (1, 1))
     omega = OmegaOrder(2)
     assert omega_min_vertex(sq, omega) == (F(0), F(0))
-    assert vertex_for_functional(sq, (F(0), F(1)), omega) == (F(0), F(0))
+    assert min(sq.argmin_vertices((F(0), F(1))), key=omega.key) == (F(0), F(0))
 
 
 def test_omega_positive():

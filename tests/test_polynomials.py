@@ -16,7 +16,6 @@ from psr.polynomials import (
     evaluate,
     is_generic,
     is_root,
-    polyhedralise,
     power,
     product_expand,
     rho,
@@ -179,13 +178,13 @@ def test_product_expand():
 
 
 def test_polyhedralise():
-    d = polyhedralise(3, {(0, 2, 0): pt(0, 0), (1, 0, 1): pt(0, 0)})
+    d = MultiPolyPolynomial.make(3, {(0, 2, 0): pt(0, 0), (1, 0, 1): pt(0, 0)})
     assert isinstance(d, MultiPolyPolynomial)
     assert d.support == ((0, 2, 0), (1, 0, 1))
 
 
 def test_multivariate_root():
-    d = polyhedralise(3, {(0, 2, 0): pt(0), (1, 0, 1): pt(0)})
+    d = MultiPolyPolynomial.make(3, {(0, 2, 0): pt(0), (1, 0, 1): pt(0)})
     p = seg(0, 1)
     assert is_root(d, (power(p, 2), p, pt(0)))[0]
     assert not is_root(d, (seg(0, 4), seg(0, 1), pt(0)))[0]

@@ -20,11 +20,11 @@ from psr.vcc import (
     minimalize,
     supports_equal,
     vcc_convex_hull,
-    vcc_evaluate,
     vcc_is_root,
     vcc_minkowski_sum,
     vcc_to_lcs,
 )
+from psr.vcc import _evaluate_shifted
 
 QUAD = PolyPolynomial.make({0: pt(3), 1: pt(1), 2: pt(0)})
 RGE0 = Cone.from_rays([(F(1),)], 1)
@@ -89,8 +89,11 @@ def test_vcc_minkowski_matches_polyhedral_oracle():
 
 
 def test_vcc_evaluate_quadratic():
-    total, summands = vcc_evaluate(QUAD, V(((1,), RGE0)))
-    assert total == V(((2,), RGE0))
+    # a constant term shifts the evaluation to phi * Y: the value gains the
+    # argument's vertex 1, so phi(g) = (2, R>=0) reads (3, R>=0)
+    total, summands, shift = _evaluate_shifted(QUAD, V(((1,), RGE0)))
+    assert shift == 1
+    assert total == V(((3,), RGE0))
     assert set(summands) == {0, 1, 2}
 
 
@@ -102,8 +105,8 @@ def test_vcc_evaluate_matches_restricted_polyhedral_oracle():
             {i: random_polytope(rng, n, 3) for i in (0, 1, 2)}
         )
         p = random_polytope(rng, n, 3)
-        got, _ = vcc_evaluate(phi, associated_vcc(p))
-        want = associated_vcc(evaluate(phi, p)[0])
+        got, _, shift = _evaluate_shifted(phi, associated_vcc(p))
+        want = associated_vcc(evaluate(phi.shift(shift), p)[0])
         assert got == want
 
 
