@@ -8,11 +8,11 @@ go to stderr; stdout carries exactly one JSON document.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 
 from . import jsonio
-from .config import from_env
 from .discriminants import (
     build_polyhedralised_discriminant,
     find_high_multiplicity_cone_root,
@@ -62,8 +62,12 @@ def _load_poly(path: str) -> PolyPolynomial:
     return phi
 
 
-def _load_polyhedron(path: str) -> Polyhedron:
-    return jsonio.polyhedron_from_json(jsonio.load_file(path))
+def _load_polyhedron(path: str, dim: int | None = None) -> Polyhedron:
+    """The polyhedron in a JSON file; in R^dim when `dim` is given."""
+    p = jsonio.polyhedron_from_json(jsonio.load_file(path))
+    if dim is not None and p.dim_ambient != dim:
+        raise ParseError(f"{path} holds a polyhedron in R^{p.dim_ambient}, not in R^{dim}")
+    return p
 
 
 def _vertex_of_m(phi: PolyPolynomial, index: int):
@@ -84,14 +88,14 @@ def _parse_vec_arg(s: str):
 
 def _cmd_eval(args) -> int:
     phi = _load_poly(args.poly)
-    total, _ = evaluate(phi, _load_polyhedron(args.at))
+    total, _ = evaluate(phi, _load_polyhedron(args.at, phi.dim_ambient))
     _emit(jsonio.polyhedron_to_json(total))
     return 0
 
 
 def _cmd_root(args) -> int:
     phi = _load_poly(args.poly)
-    ok, witness = is_root(phi, _load_polyhedron(args.at))
+    ok, witness = is_root(phi, _load_polyhedron(args.at, phi.dim_ambient))
     _emit({"root": ok, "witness": _witness_json(witness)})
     return 0 if ok else 1
 
@@ -129,11 +133,9 @@ def _cmd_fan(args) -> int:
 
 def _cmd_lcs(args) -> int:
     phi = _load_poly(args.poly)
-    session = from_env(phi.dim_ambient, cap_cells=args.cap_cells, seed=args.seed)
     fan = build_local_fan(phi, _vertex_of_m(phi, args.vertex))
     try:
-        found = enumerate_lcs(fan, cap_cells=session.cap_cells,
-                              cap_candidates=session.cap_candidates)
+        found = enumerate_lcs(fan, cap_cells=args.cap_cells)
     except NonGeneric as exc:
         _emit({"error": "non-generic", "detail": str(exc)})
         return 1
@@ -143,11 +145,9 @@ def _cmd_lcs(args) -> int:
 
 def _cmd_solve_local(args) -> int:
     phi = _load_poly(args.poly)
-    session = from_env(phi.dim_ambient, cap_cells=args.cap_cells, seed=args.seed)
     try:
         sols = enumerate_mw_minimal_local_solutions(
-            phi, _vertex_of_m(phi, args.vertex),
-            cap_cells=session.cap_cells, cap_candidates=session.cap_candidates)
+            phi, _vertex_of_m(phi, args.vertex), cap_cells=args.cap_cells)
     except NonGeneric as exc:
         _emit({"error": "non-generic", "detail": str(exc)})
         return 1
@@ -224,11 +224,12 @@ def _cmd_disc(args) -> int:
     if not isinstance(data, list):
         raise ParseError("the coefficient tuple file must be a JSON list")
     qs = [jsonio.polyhedron_from_json(t) for t in data]
+    if len({q.dim_ambient for q in qs}) > 1:
+        raise ParseError("the coefficients live in different ambient dimensions")
     ok, witness = is_discriminant_root(disc, qs)
     out = {"root": ok, "witness": _witness_json(witness)}
     if ok and args.check_converse:
         phi = PolyPolynomial.make(dict(zip(support, qs)))
-        session = from_env(phi.dim_ambient, seed=args.seed)
         out["cone_roots"] = [
             {
                 "root": jsonio.polyhedron_to_json(cr.root),
@@ -237,7 +238,7 @@ def _cmd_disc(args) -> int:
                 "solid_angle": cr.angle.value,
                 "std_error": cr.angle.std_error,
             }
-            for cr in find_high_multiplicity_cone_root(phi, seed=session.seed)
+            for cr in find_high_multiplicity_cone_root(phi, seed=args.seed)
         ]
     _emit(out)
     return 0 if ok else 1
@@ -266,6 +267,9 @@ def _cmd_dist(args) -> int:
 
 # -- wiring ------------------------------------------------------------------
 
+# flag -> (environment variable, default) filling it in when it is not given
+_ENV_DEFAULTS = {"--cap-cells": ("PSR_CAP_CELLS", "20"), "--seed": ("PSR_SEED", "0")}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="psr", description=__doc__)
@@ -278,8 +282,11 @@ def _build_parser() -> argparse.ArgumentParser:
             if flag == "--vertex":
                 p.add_argument(flag, type=int, required=True,
                                help="index into the sorted vertex list of the coefficient sum")
-            elif flag in ("--cap-cells", "--seed"):
-                p.add_argument(flag, type=int, default=None)
+            elif flag in _ENV_DEFAULTS:
+                # argparse converts a string default with `type`, so a bad
+                # environment value is a usage error like a bad flag
+                var, default = _ENV_DEFAULTS[flag]
+                p.add_argument(flag, type=int, default=os.environ.get(var, default))
             elif flag == "--check-converse":
                 p.add_argument(flag, action="store_true")
             elif flag == "--omega":
@@ -322,11 +329,6 @@ def main(argv=None) -> int:
             p.error = _error  # type: ignore[method-assign]
     try:
         args = parser.parse_args(argv)
-        # fill seed defaults from the environment where a command takes one
-        if hasattr(args, "seed") and args.seed is None:
-            args.seed = from_env(1, seed=None).seed
-        if hasattr(args, "cap_cells") and args.cap_cells is None:
-            args.cap_cells = from_env(1, cap_cells=None).cap_cells
         return args.fn(args)
     except _ArgumentError as exc:
         _emit({"error": "usage", "detail": exc.message})

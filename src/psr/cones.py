@@ -279,6 +279,11 @@ class Cone:
         return all(_idot(a, v) >= 0 for a in self.ineq_key) and all(
             _idot(a, v) > 0 for a in self.facets)
 
+    def __getstate__(self) -> dict:
+        """Pickle the canonical fields only, not the cached `rays`,
+        `ineq_key` and `ray_key`: they are recomputed where they are used."""
+        return {f: self.__dict__[f] for f in self.__dataclass_fields__}
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Cone):
             return NotImplemented

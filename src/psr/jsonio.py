@@ -39,9 +39,21 @@ def vec_to_json(v: Sequence[Fraction]) -> list[str]:
 
 
 def vec_from_json(obj: Any) -> Vec:
-    if not isinstance(obj, (list, tuple)):
-        raise ParseError(f"expected a coordinate list, got {obj!r}")
+    if not isinstance(obj, (list, tuple)) or not obj:
+        raise ParseError(f"expected a nonempty coordinate list, got {obj!r}")
     return as_vec(frac_from_str(x) for x in obj)
+
+
+def _entry(obj: Any, key: str, what: str) -> Any:
+    if not isinstance(obj, Mapping) or key not in obj:
+        raise ParseError(f"{what} needs a {key!r} entry")
+    return obj[key]
+
+
+def _int(x: Any, what: str) -> int:
+    if type(x) is not int:
+        raise ParseError(f"{what} must be an integer, got {x!r}")
+    return x
 
 
 # -- polyhedra ---------------------------------------------------------------
@@ -55,13 +67,14 @@ def polyhedron_to_json(p: Polyhedron) -> dict:
 
 
 def polyhedron_from_json(obj: Any) -> Polyhedron:
-    if not isinstance(obj, Mapping) or "vertices" not in obj:
-        raise ParseError("a polyhedron needs a 'vertices' list")
-    vertices = [vec_from_json(v) for v in obj["vertices"]]
+    vertices = [vec_from_json(v) for v in _entry(obj, "vertices", "a polyhedron")]
     rays = [vec_from_json(r) for r in obj.get("rays", [])]
     if not vertices:
         raise ParseError("a polyhedron needs at least one vertex")
-    return Polyhedron.from_generators(vertices, rays)
+    try:  # a line among the rays, or coordinate lists of different lengths
+        return Polyhedron.from_generators(vertices, rays)
+    except ValueError as exc:
+        raise ParseError(f"not a polyhedron: {exc}") from None
 
 
 # -- cones -------------------------------------------------------------------
@@ -116,22 +129,24 @@ def polynomial_to_json(phi: PolyPolynomial | MultiPolyPolynomial) -> dict:
 
 
 def polynomial_from_json(obj: Any) -> PolyPolynomial | MultiPolyPolynomial:
-    if not isinstance(obj, Mapping) or "terms" not in obj:
-        raise ParseError("a polynomial needs a 'terms' list")
-    nvars = int(obj.get("vars", 1))
+    terms_json = _entry(obj, "terms", "a polynomial")
+    nvars = _int(obj.get("vars", 1), "'vars'")
     terms = {}
-    for t in obj["terms"]:
-        exp = t["exp"]
+    for t in terms_json:
+        exp = _entry(t, "exp", "a term")
         if not isinstance(exp, list) or len(exp) != nvars:
             raise ParseError(f"exponent {exp!r} does not have {nvars} entries")
-        key = tuple(int(k) for k in exp)
-        coeff = polyhedron_from_json(t["coeff"])
+        key = tuple(_int(k, "an exponent") for k in exp)
+        coeff = polyhedron_from_json(_entry(t, "coeff", "a term"))
         if key in terms:
             raise ParseError(f"duplicate exponent {exp!r}")
         terms[key] = coeff
-    if nvars == 1:
-        return PolyPolynomial.make({e[0]: q for e, q in terms.items()})
-    return MultiPolyPolynomial.make(nvars, terms)
+    try:  # empty support, negative exponents, coefficients in different dimensions
+        if nvars == 1:
+            return PolyPolynomial.make({e[0]: q for e, q in terms.items()})
+        return MultiPolyPolynomial.make(nvars, terms)
+    except ValueError as exc:
+        raise ParseError(f"not a polynomial: {exc}") from None
 
 
 def tropical_to_json(psi: TropPolynomial) -> dict:
@@ -163,7 +178,8 @@ def locals_from_json(obj: Any) -> dict[Vec, Polyhedron]:
         raise ParseError("a local-solution map must be a list")
     out: dict[Vec, Polyhedron] = {}
     for t in obj:
-        out[vec_from_json(t["vertex"])] = polyhedron_from_json(t["solution"])
+        out[vec_from_json(_entry(t, "vertex", "a local solution"))] = polyhedron_from_json(
+            _entry(t, "solution", "a local solution"))
     return out
 
 

@@ -1,10 +1,20 @@
 """Rational polyhedra P = conv(V) + cone(R), exact over the rationals.
 
-Canonicalisation goes through the homogenisation cone in R^(n+1): each
-vertex v becomes the ray (v, 1) and each recession ray r becomes (r, 0).
-Lineality in the homogenisation is rejected, so every polyhedron handled
-here has at least one vertex (its recession cone is pointed).  That is
-exactly the class closed under the two semiring operations below.
+A polyhedron is stored as its homogenisation cone C(P) in R^(n+1), the
+cone over the rays (v, 1) for the vertices v and (r, 0) for the recession
+rays r.  The cone is canonical and its extreme rays are primitive ints,
+so they are exactly the (v, 1) and (r, 0) scaled to coprime integers;
+`vertices` and `rec_rays` are the sorted view read off them once.  Lines
+in C(P) are rejected, so every polyhedron handled here has at least one
+vertex (its recession cone is pointed).  That is exactly the class
+closed under the two semiring operations, and both act on the cone:
+
+- the convex hull of P and Q has C(P) + C(Q) as its cone, a conic sum;
+- the Minkowski sum P + Q is generated by the sums of their vertices,
+  (a, d) + (b, e) -> (a e + b d, d e) on the int rays, and the rays of
+  both; for convex P, P + ... + P (k times) is the dilation kP;
+- C(P) meets C(Q) in C(P and Q) when P and Q meet, and in rays (r, 0)
+  only when they do not.
 
 The "omega" order is the lexicographic refinement of a base functional:
 comparing ell.x first and the plain coordinates of x afterwards emulates a
@@ -17,13 +27,14 @@ meets the closed lex-nonnegative half in rays only.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from typing import Iterable, Sequence
 
-from .cones import Cone, dual_cone
+from .cones import Cone, IntVec, _cone_from_rays, conic_sum, dual_cone, intersect_cones
 from .errors import NotAVertex, Unbounded
-from .linalg import Vec, as_vec, dot, is_zero, neg, sub, zero
+from .linalg import Vec, as_vec, dot, primitive, sub
 
 
 class OmegaOrder:
@@ -53,42 +64,26 @@ class OmegaOrder:
 
 @dataclass(frozen=True)
 class Polyhedron:
-    """Polyhedron with pointed recession cone, canonical V-description."""
+    """Polyhedron with pointed recession cone, kept as its homogenisation
+    cone; `vertices` and `rec_rays` are its canonical V-description."""
 
     dim_ambient: int
     vertices: tuple[Vec, ...]
-    rec_rays: tuple[Vec, ...]  # primitive extreme rays of the recession cone
+    rec_rays: tuple[IntVec, ...]  # primitive extreme rays of the recession cone
+    cone: Cone = field(compare=False, repr=False)  # homogenisation cone C(P)
 
     @staticmethod
     def from_generators(
         points: Iterable[Sequence], rays: Iterable[Sequence] = (), dim: int | None = None
     ) -> "Polyhedron":
-        pts = [as_vec(p) for p in points]
-        rs = [as_vec(r) for r in rays]
-        if dim is None:
-            if pts:
-                dim = len(pts[0])
-            elif rs:
-                dim = len(rs[0])
-            else:
-                raise ValueError("no generators and no dimension")
+        pts, rs = [tuple(p) for p in points], [tuple(r) for r in rays]
         if not pts:
             raise ValueError("a polyhedron needs at least one point")
-        homog = [p + (Fraction(1),) for p in pts] + [r + (Fraction(0),) for r in rs]
-        cone = Cone.from_rays(homog, dim=dim + 1)
-        if cone.lines:
-            raise ValueError("polyhedron contains a line; recession cone not pointed")
-        verts = []
-        recs = []
-        for ray in cone.extreme_rays:
-            last = ray[-1]
-            if last > 0:
-                verts.append(tuple(Fraction(c, last) for c in ray[:-1]))
-            elif last == 0:
-                recs.append(ray[:-1])
-            else:  # pragma: no cover - homogenisation rays have last >= 0
-                raise ValueError("negative homogenising coordinate")
-        return Polyhedron(dim, tuple(sorted(verts)), tuple(sorted(recs)))
+        if dim is None:
+            dim = len(pts[0])
+        if any(len(v) != dim for v in pts + rs):
+            raise ValueError(f"generators of a polyhedron in R^{dim} have other lengths")
+        return _from_cone(Cone.from_rays(_homogenise(pts, rs), dim=dim + 1))
 
     @staticmethod
     def point(p: Sequence) -> "Polyhedron":
@@ -103,26 +98,14 @@ class Polyhedron:
         return Cone.from_rays(self.rec_rays, dim=self.dim_ambient)
 
     def dim(self) -> int:
-        v0 = self.vertices[0]
-        dirs = [sub(v, v0) for v in self.vertices[1:]] + list(self.rec_rays)
-        from .linalg import rank
-
-        return rank(dirs)
+        return self.cone.dim() - 1
 
     def contains(self, x: Sequence) -> bool:
-        p = as_vec(x) + (Fraction(1),)
-        homog = [v + (Fraction(1),) for v in self.vertices] + [
-            r + (Fraction(0),) for r in self.rec_rays
-        ]
-        return Cone.from_rays(homog, dim=self.dim_ambient + 1).contains(p)
+        return self.cone.contains(*_homogenise([x]))
 
     def translate(self, t: Sequence) -> "Polyhedron":
-        tv = as_vec(t)
-        return Polyhedron(
-            self.dim_ambient,
-            tuple(sorted(tuple(a + b for a, b in zip(v, tv)) for v in self.vertices)),
-            self.rec_rays,
-        )
+        return Polyhedron.from_generators(
+            [tuple(a + b for a, b in zip(v, t)) for v in self.vertices], self.rec_rays)
 
     def support_value(self, ell: Sequence) -> Fraction:
         """min over P of ell.x; raises Unbounded when the min is -inf."""
@@ -140,59 +123,69 @@ class Polyhedron:
         return all(omega.is_positive(r) for r in self.rec_rays)
 
 
+def _homogenise(points: Iterable[Sequence], rays: Iterable[Sequence] = ()) -> list[tuple]:
+    """(v, 1) for each point v and (r, 0) for each ray r."""
+    return [tuple(v) + (1,) for v in points] + [tuple(r) + (0,) for r in rays]
+
+
+def _from_cone(cone: Cone) -> Polyhedron:
+    """The polyhedron whose homogenisation cone is `cone`.  Every cone
+    built here has last coordinate >= 0 on all of its rays."""
+    if cone.lines:
+        raise ValueError("polyhedron contains a line; recession cone not pointed")
+    verts = sorted(tuple(Fraction(x, r[-1]) for x in r[:-1]) for r in cone.extreme_rays if r[-1])
+    recs = sorted(r[:-1] for r in cone.extreme_rays if not r[-1])
+    return Polyhedron(cone.dim_ambient - 1, tuple(verts), tuple(recs), cone)
+
+
+def _vertex_sum(a: IntVec, b: IntVec) -> IntVec:
+    """(a, d) + (b, e) -> (a e + b d, d e), primitive: the vertex a/d + b/e."""
+    d, e = a[-1], b[-1]
+    return primitive(tuple(x * e + y * d for x, y in zip(a[:-1], b[:-1])) + (d * e,))
+
+
 # ---------------------------------------------------------------------------
 # semiring operations and normal-fan machinery
 
 
-def convex_hull(p: Polyhedron, q: Polyhedron) -> Polyhedron:
+def convex_hull(*polys: Polyhedron) -> Polyhedron:
     """Semiring addition: closed convex hull of the union."""
-    if p.dim_ambient != q.dim_ambient:
-        raise ValueError("ambient dimensions differ")
-    return Polyhedron.from_generators(
-        list(p.vertices) + list(q.vertices),
-        list(p.rec_rays) + list(q.rec_rays),
-        dim=p.dim_ambient,
-    )
+    return _from_cone(conic_sum(*(p.cone for p in polys)))
 
 
-def minkowski_sum(p: Polyhedron, q: Polyhedron) -> Polyhedron:
-    """Semiring multiplication: pairwise vertex sums plus the joint rays."""
-    if p.dim_ambient != q.dim_ambient:
+def minkowski_sum(*polys: Polyhedron) -> Polyhedron:
+    """Semiring multiplication: sums of one vertex of each, plus all rays."""
+    n = polys[0].dim_ambient
+    if any(p.dim_ambient != n for p in polys):
         raise ValueError("ambient dimensions differ")
-    pts = [
-        tuple(a + b for a, b in zip(v, w))
-        for v, w in itertools.product(p.vertices, q.vertices)
-    ]
-    return Polyhedron.from_generators(
-        pts, list(p.rec_rays) + list(q.rec_rays), dim=p.dim_ambient
-    )
+    verts = ([r for r in p.cone.extreme_rays if r[-1]] for p in polys)
+    pts = {reduce(_vertex_sum, vs) for vs in itertools.product(*verts)}
+    rays = {r for p in polys for r in p.cone.extreme_rays if not r[-1]}
+    return _from_cone(_cone_from_rays(n + 1, frozenset(pts | rays)))
+
+
+def power(p: Polyhedron, k: int) -> Polyhedron:
+    """k-fold Minkowski power; the 0-th power is the origin.  P is convex,
+    so P + ... + P = kP: the vertices dilate by k and the rays stay."""
+    if k == 0:
+        return Polyhedron.point((0,) * p.dim_ambient)
+    if k == 1:
+        return p
+    return _from_cone(_cone_from_rays(p.dim_ambient + 1, frozenset(
+        primitive(tuple(k * x for x in r[:-1]) + r[-1:]) if r[-1] else r
+        for r in p.cone.extreme_rays)))
 
 
 def intersect_polyhedra(p: Polyhedron, q: Polyhedron) -> Polyhedron | None:
-    """Exact intersection; None when empty.  Requires pointed result."""
-    n = p.dim_ambient
-    homog_ineqs: list[Vec] = []
-    for poly in (p, q):
-        hcone = Cone.from_rays(
-            [v + (Fraction(1),) for v in poly.vertices]
-            + [r + (Fraction(0),) for r in poly.rec_rays],
-            dim=n + 1,
-        )
-        homog_ineqs.extend(hcone.ineqs)
-    # keep homogenising coordinate nonnegative
-    homog_ineqs.append(zero(n) + (Fraction(1),))
-    cone = Cone.from_ineqs(homog_ineqs, dim=n + 1)
-    verts, recs = [], []
-    for ray in list(cone.extreme_rays) + [l for l in cone.lines] + [
-        neg(l) for l in cone.lines
-    ]:
-        if ray[-1] > 0:
-            verts.append(tuple(Fraction(c, ray[-1]) for c in ray[:-1]))
-        elif ray[-1] == 0 and not is_zero(ray[:-1]):
-            recs.append(ray[:-1])
-    if not verts:
+    """Exact intersection; None when empty.
+
+    C(P) and C(Q) meet in C(P and Q) when P and Q meet; otherwise no ray
+    of their intersection has a positive last coordinate.
+    """
+    cone = intersect_cones(p.cone, q.cone)
+    if not any(r[-1] for r in cone.extreme_rays):
         return None
-    return Polyhedron.from_generators(verts, recs, dim=n)
+    return _from_cone(cone)
 
 
 def inner_normal_cone(p: Polyhedron, v: Sequence) -> Cone:

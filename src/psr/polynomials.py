@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 from .cones import Cone, IntVec, dual_cone
 from .errors import BadIndex, InvariantError, NotARoot, Unbounded
-from .linalg import Vec, add, as_vec, neg, primitive, sub, zero
+from .linalg import Vec, add, as_vec, neg, primitive, sub
 from .polyhedra import (
     OmegaOrder,
     Polyhedron,
@@ -28,6 +28,7 @@ from .polyhedra import (
     minkowski_sum,
     normal_fan_support,
     omega_min_vertex,
+    power,
 )
 
 Pair = tuple[int, int]
@@ -88,6 +89,8 @@ class MultiPolyPolynomial:
         for e, _ in items:
             if len(e) != nvars or any(k < 0 for k in e):
                 raise ValueError(f"bad exponent vector {e}")
+        if len({q.dim_ambient for _, q in items}) != 1:
+            raise ValueError("coefficients live in different ambient dimensions")
         return MultiPolyPolynomial(nvars, items)
 
     @property
@@ -111,21 +114,10 @@ class TropPolynomial:
         return min(m + i * y for i, m in self.terms)
 
 
-def power(p: Polyhedron, k: int) -> Polyhedron:
-    """k-fold Minkowski power; the 0-th power is the origin."""
-    out = Polyhedron.point(zero(p.dim_ambient))
-    for _ in range(k):
-        out = minkowski_sum(out, p)
-    return out
-
-
 def evaluate(phi: PolyPolynomial, p: Polyhedron) -> tuple[Polyhedron, dict[int, Polyhedron]]:
-    """phi(p) and the individual summands Q_i * p^i."""
-    summands = {i: minkowski_sum(q, power(p, i)) for i, q in phi.terms}
-    total = None
-    for s in summands.values():
-        total = s if total is None else convex_hull(total, s)
-    return total, summands
+    """phi(p) and the individual summands Q_i * p^i (Q_0 * p^0 is Q_0)."""
+    summands = {i: minkowski_sum(q, power(p, i)) if i else q for i, q in phi.terms}
+    return convex_hull(*summands.values()), summands
 
 
 def evaluate_multi(
@@ -133,16 +125,8 @@ def evaluate_multi(
 ) -> tuple[Polyhedron, dict[tuple[int, ...], Polyhedron]]:
     if len(ps) != phi.nvars:
         raise BadIndex(f"expected {phi.nvars} arguments, got {len(ps)}")
-    summands = {}
-    for e, q in phi.terms:
-        s = q
-        for k, p in zip(e, ps):
-            s = minkowski_sum(s, power(p, k))
-        summands[e] = s
-    total = None
-    for s in summands.values():
-        total = s if total is None else convex_hull(total, s)
-    return total, summands
+    summands = {e: minkowski_sum(q, *map(power, ps, e)) for e, q in phi.terms}
+    return convex_hull(*summands.values()), summands
 
 
 def root_witness(total: Polyhedron, summands: Mapping) -> dict[Vec, list]:
@@ -453,18 +437,10 @@ def product_expand(q: Polyhedron, factors: Sequence[Polyhedron]) -> PolyPolynomi
     convex hulls."""
     terms: dict[int, Polyhedron] = {0: q}
     for p in factors:
-        nxt: dict[int, Polyhedron] = {}
+        # c Y^e times (Y + P) gives c Y^(e+1) and (c + P) Y^e
+        parts: dict[int, list[Polyhedron]] = {e: [] for e in range(max(terms) + 2)}
         for e, c in terms.items():
-            # c * Y^(e+1)
-            if e + 1 in nxt:
-                nxt[e + 1] = convex_hull(nxt[e + 1], c)
-            else:
-                nxt[e + 1] = c
-            # c * P_i * Y^e
-            cp = minkowski_sum(c, p)
-            if e in nxt:
-                nxt[e] = convex_hull(nxt[e], cp)
-            else:
-                nxt[e] = cp
-        terms = nxt
+            parts[e + 1].append(c)
+            parts[e].append(minkowski_sum(c, p))
+        terms = {e: convex_hull(*cs) for e, cs in parts.items()}
     return PolyPolynomial.make(terms)

@@ -191,6 +191,59 @@ def test_malformed_input_exit_2(run, write, tmp_path):
     assert code == 2
 
 
+PT1 = {"vertices": [["0"]]}
+COEFF1 = {"exp": [0], "coeff": PT1}
+
+# malformed inputs: (name, files to write, argv with {0}, {1} for the files)
+MALFORMED = [
+    ("line-in-rays", [{"vars": 1, "terms": [COEFF1]}, {"vertices": [["0"]], "rays": [["1"], ["-1"]]}],
+     ["root", "--poly", "{0}", "--at", "{1}"]),
+    ("vertex-lengths", [{"vars": 1, "terms": [COEFF1]}, {"vertices": [["0"], ["1", "2"]]}],
+     ["root", "--poly", "{0}", "--at", "{1}"]),
+    ("coefficient-dims", [{"vars": 1, "terms": [
+        COEFF1, {"exp": [1], "coeff": {"vertices": [["0", "1"]]}}]}, PT1],
+     ["eval", "--poly", "{0}", "--at", "{1}"]),
+    ("at-dim", [{"vars": 1, "terms": [COEFF1]}, {"vertices": [["0", "0"]]}],
+     ["eval", "--poly", "{0}", "--at", "{1}"]),
+    ("term-without-exp", [{"vars": 1, "terms": [{"coeff": PT1}]}, PT1],
+     ["eval", "--poly", "{0}", "--at", "{1}"]),
+    ("term-without-coeff", [{"vars": 1, "terms": [{"exp": [0]}]}, PT1],
+     ["eval", "--poly", "{0}", "--at", "{1}"]),
+    ("locals-without-solution", [{"vars": 1, "terms": [COEFF1]}, [{"vertex": ["0"]}]],
+     ["glue", "--poly", "{0}", "--locals", "{1}"]),
+    ("vars-not-integer", [{"vars": 1.5, "terms": [COEFF1]}, PT1],
+     ["eval", "--poly", "{0}", "--at", "{1}"]),
+    ("disc-coefficient-dims", [[PT1, PT1, {"vertices": [["0", "0"]]}]],
+     ["disc", "--support", "0,1,2", "--tuple", "{0}"]),
+    ("empty-coordinates", [{"vars": 1, "terms": [{"exp": [0], "coeff": {"vertices": [[]]}}]}, PT1],
+     ["eval", "--poly", "{0}", "--at", "{1}"]),
+]
+
+
+@pytest.mark.parametrize("files,argv", [m[1:] for m in MALFORMED], ids=[m[0] for m in MALFORMED])
+def test_malformed_json_exit_2(run, write, files, argv):
+    paths = [write(f) for f in files]
+    code, out = run(*(a.format(*paths) for a in argv))  # parses one JSON document
+    assert code == 2 and out["error"] == "ParseError"
+
+
+def test_environment_fills_seed_and_cap(run, write, monkeypatch):
+    p = poly_file(write, QUAD)  # two fan cells at vertex 0
+    monkeypatch.setenv("PSR_CAP_CELLS", "1")
+    code, out = run("lcs", "--poly", p, "--vertex", "0")
+    assert code == 2 and out["error"] == "SizeLimit"
+    assert run("lcs", "--poly", p, "--vertex", "0", "--cap-cells", "2")[0] == 0
+    monkeypatch.setenv("PSR_CAP_CELLS", "one")
+    assert run("lcs", "--poly", p, "--vertex", "0")[1]["error"] == "usage"
+
+    monkeypatch.setattr("psr.cli.hausdorff_angle_distance", lambda q0, q1, seed: seed)
+    a = phd_file(write, pt(0))
+    assert run("dist", "--q0", a, "--q1", a)[1] == {"distance": 0}
+    monkeypatch.setenv("PSR_SEED", "11")
+    assert run("dist", "--q0", a, "--q1", a)[1] == {"distance": 11}
+    assert run("dist", "--q0", a, "--q1", a, "--seed", "4")[1] == {"distance": 4}
+
+
 def test_roundtrip_serialisation():
     rng = random.Random(31)
     for _ in range(25):

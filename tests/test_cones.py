@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -399,3 +400,12 @@ def test_polyhedron_coordinates_are_never_float(points):
     p = Polyhedron.from_generators(points, [(1, 0)])
     assert all(type(x) is F for v in p.vertices for x in v)
     assert all(type(x) in (int, F) for r in p.rec_rays for x in r)
+
+
+def test_pickle_keeps_canonical_fields_only():
+    c = Cone.from_rays([(1, 0, 1), (0, 1, 1), (1, 1, 1), (0, 0, 1)], dim=3)
+    assert c.rays and c.ineq_key and c.ray_key  # fill the caches
+    back = pickle.loads(pickle.dumps(c))
+    assert back == c and (back.facets, back.span_eqs) == (c.facets, c.span_eqs)
+    assert not {"rays", "ineq_key", "ray_key"} & set(vars(back))
+    assert (back.rays, back.ineq_key, back.ray_key) == (c.rays, c.ineq_key, c.ray_key)

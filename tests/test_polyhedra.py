@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -133,3 +134,10 @@ def test_vertex_decomposition_of_sums(a):
         vq = q.argmin_vertices(ell)
         assert len(vp) == 1 and len(vq) == 1
         assert tuple(x + y for x, y in zip(vp[0], vq[0])) == v
+
+
+def test_pickled_polyhedron_carries_its_cone():
+    p = Polyhedron.from_generators([(F(1, 2), F(0)), (F(0), F(1))], [(F(1), F(1))])
+    back = pickle.loads(pickle.dumps(p))
+    assert back == p and back.cone == p.cone
+    assert not {"rays", "ineq_key", "ray_key"} & set(vars(back.cone))
