@@ -10,26 +10,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from fractions import Fraction
 
 from . import jsonio
-from .discriminants import (
-    build_polyhedralised_discriminant,
-    find_high_multiplicity_cone_root,
-    is_discriminant_root,
-)
 from .errors import NonGeneric, PsrError
-from .globalglue import (
-    classify_quadratic_local,
-    classify_reduced_cubic_local,
-    glue_global,
-    minkowski_summand_certificate,
-    shephard_weak_summand,
-)
 from .jsonio import ParseError
 from .linalg import as_vec
-from .localfan import build_local_fan, enumerate_lcs
-from .metric import hausdorff_angle_distance
 from .polyhedra import Polyhedron
 from .polynomials import (
     PolyPolynomial,
@@ -40,7 +25,10 @@ from .polynomials import (
     tropical_roots,
     tropicalize,
 )
-from .vcc import enumerate_mw_minimal_local_solutions
+
+# Each handler imports the rest of the library it runs, so a subcommand
+# loads only its own modules: `eval`, `root`, `generic` and `trop` never
+# load the local solver, gluing, discriminants or the metric.
 
 
 def _emit(obj) -> None:
@@ -70,6 +58,12 @@ def _load_polyhedron(path: str, dim: int | None = None) -> Polyhedron:
     return p
 
 
+def _load_pair(first: str, second: str) -> tuple[Polyhedron, Polyhedron]:
+    """Two polyhedra from JSON files, in one ambient space."""
+    p = _load_polyhedron(first)
+    return p, _load_polyhedron(second, p.dim_ambient)
+
+
 def _vertex_of_m(phi: PolyPolynomial, index: int):
     verts = sorted(coefficient_msum(phi).value.vertices)
     if not 0 <= index < len(verts):
@@ -79,8 +73,19 @@ def _vertex_of_m(phi: PolyPolynomial, index: int):
     return verts[index]
 
 
-def _parse_vec_arg(s: str):
-    return as_vec(Fraction(t) for t in s.split(","))
+def _parse_vec_arg(s: str, dim: int):
+    """A comma-separated rational vector in R^dim."""
+    v = jsonio.vec_from_json(s.split(","))
+    if len(v) != dim:
+        raise ParseError(f"{s!r} has {len(v)} coordinates, not {dim}")
+    return v
+
+
+def _parse_support(s: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(t) for t in s.split(","))
+    except ValueError:
+        raise ParseError(f"the support {s!r} is not a comma-separated list of integers") from None
 
 
 # -- subcommand bodies -------------------------------------------------------
@@ -114,6 +119,8 @@ def _cmd_generic(args) -> int:
 
 
 def _cmd_fan(args) -> int:
+    from .localfan import build_local_fan
+
     phi = _load_poly(args.poly)
     fan = build_local_fan(phi, _vertex_of_m(phi, args.vertex))
     _emit({
@@ -132,6 +139,8 @@ def _cmd_fan(args) -> int:
 
 
 def _cmd_lcs(args) -> int:
+    from .localfan import build_local_fan, enumerate_lcs
+
     phi = _load_poly(args.poly)
     fan = build_local_fan(phi, _vertex_of_m(phi, args.vertex))
     try:
@@ -144,6 +153,8 @@ def _cmd_lcs(args) -> int:
 
 
 def _cmd_solve_local(args) -> int:
+    from .vcc import enumerate_mw_minimal_local_solutions
+
     phi = _load_poly(args.poly)
     try:
         sols = enumerate_mw_minimal_local_solutions(
@@ -156,8 +167,13 @@ def _cmd_solve_local(args) -> int:
 
 
 def _cmd_glue(args) -> int:
+    from .globalglue import glue_global
+
     phi = _load_poly(args.poly)
     locals_map = jsonio.locals_from_json(jsonio.load_file(args.locals))
+    n = phi.dim_ambient
+    if any(len(v) != n or s.dim_ambient != n for v, s in locals_map.items()):
+        raise ParseError(f"{args.locals} holds a local solution outside R^{n}")
     result = glue_global(phi, locals_map)
     if isinstance(result, Polyhedron):
         _emit(jsonio.polyhedron_to_json(result))
@@ -168,6 +184,8 @@ def _cmd_glue(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from .globalglue import classify_quadratic_local, classify_reduced_cubic_local
+
     phi = _load_poly(args.poly)
     v = _vertex_of_m(phi, args.vertex)
     if phi.support == (0, 1, 2):
@@ -186,8 +204,9 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_summand(args) -> int:
-    ok, r = minkowski_summand_certificate(
-        _load_polyhedron(args.q1), _load_polyhedron(args.q0))
+    from .globalglue import minkowski_summand_certificate
+
+    ok, r = minkowski_summand_certificate(*_load_pair(args.q1, args.q0))
     if ok:
         _emit({"summand": True, "witness": jsonio.polyhedron_to_json(r)})
         return 0
@@ -196,8 +215,9 @@ def _cmd_summand(args) -> int:
 
 
 def _cmd_shephard(args) -> int:
-    res = shephard_weak_summand(
-        _load_polyhedron(args.q1), _load_polyhedron(args.q0))
+    from .globalglue import shephard_weak_summand
+
+    res = shephard_weak_summand(*_load_pair(args.q1, args.q0))
     if res.ok:
         _emit({
             "ok": True,
@@ -218,7 +238,13 @@ def _cmd_shephard(args) -> int:
 
 
 def _cmd_disc(args) -> int:
-    support = tuple(int(t) for t in args.support.split(","))
+    from .discriminants import (
+        build_polyhedralised_discriminant,
+        find_high_multiplicity_cone_root,
+        is_discriminant_root,
+    )
+
+    support = _parse_support(args.support)
     disc = build_polyhedralised_discriminant(support)
     data = jsonio.load_file(args.tuple)
     if not isinstance(data, list):
@@ -246,7 +272,8 @@ def _cmd_disc(args) -> int:
 
 def _cmd_trop(args) -> int:
     phi = _load_poly(args.poly)
-    ell = _parse_vec_arg(args.omega) if args.omega else as_vec([1] * phi.dim_ambient)
+    n = phi.dim_ambient
+    ell = _parse_vec_arg(args.omega, n) if args.omega else as_vec([1] * n)
     psi = tropicalize(phi, ell)
     _emit({
         "tropical": jsonio.tropical_to_json(psi),
@@ -259,8 +286,9 @@ def _cmd_trop(args) -> int:
 
 
 def _cmd_dist(args) -> int:
-    d = hausdorff_angle_distance(
-        _load_polyhedron(args.q0), _load_polyhedron(args.q1), seed=args.seed)
+    from .metric import hausdorff_angle_distance
+
+    d = hausdorff_angle_distance(*_load_pair(args.q0, args.q1), seed=args.seed)
     _emit({"distance": d})
     return 0
 

@@ -327,14 +327,18 @@ def restrict_arrangement(support: Cone, normals: Iterable[Sequence]) -> list[Con
 
     Each hyperplane {x : a.x = 0} splits every current cell into the two
     closed halves, keeping the pieces whose dimension matches the support.
+    A hyperplane already applied (as a or -a) is skipped: every cell lies
+    on one closed side of it, so it would keep every cell as it is.
     """
     dim, sdim = support.dim_ambient, support.dim()
     cells = [support]
+    applied: set[IntVec] = set()
     for raw in normals:
         a = primitive(raw)
-        if not any(a):
+        if not any(a) or a in applied:
             continue
         na = neg(a)
+        applied.update((a, na))
         nxt: list[Cone] = []
         for cell in cells:
             vals = [_idot(a, r) for r in cell.rays]

@@ -9,14 +9,16 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from .cones import Cone
 from .errors import PsrError
 from .linalg import Vec, as_vec
-from .localfan import LCS
 from .polyhedra import Polyhedron
 from .polynomials import MultiPolyPolynomial, PolyPolynomial, TropPolynomial
+
+if TYPE_CHECKING:  # the local solver is loaded only by the commands that run it
+    from .localfan import LCS
 
 
 class ParseError(PsrError):
@@ -50,6 +52,12 @@ def _entry(obj: Any, key: str, what: str) -> Any:
     return obj[key]
 
 
+def _list(x: Any, what: str) -> list:
+    if not isinstance(x, list):
+        raise ParseError(f"{what} must be a list")
+    return x
+
+
 def _int(x: Any, what: str) -> int:
     if type(x) is not int:
         raise ParseError(f"{what} must be an integer, got {x!r}")
@@ -67,8 +75,9 @@ def polyhedron_to_json(p: Polyhedron) -> dict:
 
 
 def polyhedron_from_json(obj: Any) -> Polyhedron:
-    vertices = [vec_from_json(v) for v in _entry(obj, "vertices", "a polyhedron")]
-    rays = [vec_from_json(r) for r in obj.get("rays", [])]
+    vertices = _list(_entry(obj, "vertices", "a polyhedron"), "'vertices'")
+    vertices = [vec_from_json(v) for v in vertices]
+    rays = [vec_from_json(r) for r in _list(obj.get("rays", []), "'rays'")]
     if not vertices:
         raise ParseError("a polyhedron needs at least one vertex")
     try:  # a line among the rays, or coordinate lists of different lengths
@@ -87,26 +96,6 @@ def cone_to_json(c: Cone) -> dict:
         "facets": [vec_to_json(f) for f in c.facets],
         "span_eqs": [vec_to_json(e) for e in c.span_eqs],
     }
-
-
-def cone_from_json(obj: Any, dim: int | None = None) -> Cone:
-    if not isinstance(obj, Mapping):
-        raise ParseError("a cone must be an object")
-    if "rays" in obj or "lines" in obj:
-        rays = [vec_from_json(r) for r in obj.get("rays", [])]
-        lines = [vec_from_json(l) for l in obj.get("lines", [])]
-        gens = rays + lines + [tuple(-x for x in l) for l in lines]
-        if not gens and dim is None:
-            raise ParseError("an origin cone needs an explicit dimension")
-        return Cone.from_rays(gens, dim)
-    if "facets" in obj:
-        facets = [vec_from_json(f) for f in obj["facets"]]
-        eqs = [vec_from_json(e) for e in obj.get("span_eqs", [])]
-        ineqs = facets + eqs + [tuple(-x for x in e) for e in eqs]
-        if not ineqs and dim is None:
-            raise ParseError("a full cone needs an explicit dimension")
-        return Cone.from_ineqs(ineqs, dim)
-    raise ParseError("a cone needs 'rays' or 'facets'")
 
 
 # -- polynomials -------------------------------------------------------------
@@ -129,7 +118,7 @@ def polynomial_to_json(phi: PolyPolynomial | MultiPolyPolynomial) -> dict:
 
 
 def polynomial_from_json(obj: Any) -> PolyPolynomial | MultiPolyPolynomial:
-    terms_json = _entry(obj, "terms", "a polynomial")
+    terms_json = _list(_entry(obj, "terms", "a polynomial"), "'terms'")
     nvars = _int(obj.get("vars", 1), "'vars'")
     terms = {}
     for t in terms_json:
@@ -174,10 +163,8 @@ def locals_to_json(locals_map: Mapping[Vec, Polyhedron]) -> list:
 
 
 def locals_from_json(obj: Any) -> dict[Vec, Polyhedron]:
-    if not isinstance(obj, list):
-        raise ParseError("a local-solution map must be a list")
     out: dict[Vec, Polyhedron] = {}
-    for t in obj:
+    for t in _list(obj, "a local-solution map"):
         out[vec_from_json(_entry(t, "vertex", "a local solution"))] = polyhedron_from_json(
             _entry(t, "solution", "a local solution"))
     return out

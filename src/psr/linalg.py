@@ -38,10 +38,6 @@ def sub(a: Vec, b: Vec) -> Vec:
     return tuple(x - y for x, y in zip(a, b, strict=True))
 
 
-def scale(c: Fraction, a: Vec) -> Vec:
-    return tuple(c * x for x in a)
-
-
 def neg(a: Vec) -> Vec:
     return tuple(-x for x in a)
 

@@ -66,9 +66,6 @@ class PolyPolynomial:
                 return q
         raise BadIndex(f"{i} not in support {self.support}")
 
-    def degree(self) -> int:
-        return self.terms[-1][0]
-
     def shift(self, k: int) -> "PolyPolynomial":
         """Multiply by Y^k (exponent shift)."""
         return PolyPolynomial(tuple((i + k, q) for i, q in self.terms))

@@ -1,11 +1,17 @@
+import contextlib
+import copy
+import io
 import json
 import os
 import random
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from genutil import pt, random_polytope, seg
 from psr import jsonio
@@ -192,6 +198,7 @@ def test_malformed_input_exit_2(run, write, tmp_path):
 
 
 PT1 = {"vertices": [["0"]]}
+PT2 = {"vertices": [["0", "0"]]}
 COEFF1 = {"exp": [0], "coeff": PT1}
 
 # malformed inputs: (name, files to write, argv with {0}, {1} for the files)
@@ -217,6 +224,19 @@ MALFORMED = [
      ["disc", "--support", "0,1,2", "--tuple", "{0}"]),
     ("empty-coordinates", [{"vars": 1, "terms": [{"exp": [0], "coeff": {"vertices": [[]]}}]}, PT1],
      ["eval", "--poly", "{0}", "--at", "{1}"]),
+    ("shephard-dims", [PT1, PT2], ["shephard", "--q1", "{0}", "--q0", "{1}"]),
+    ("summand-dims", [PT1, PT2], ["summand", "--q1", "{0}", "--q0", "{1}"]),
+    ("dist-dims", [PT1, PT2], ["dist", "--q0", "{1}", "--q1", "{0}"]),
+    ("terms-not-list", [{"vars": 1, "terms": 5}, PT1], ["eval", "--poly", "{0}", "--at", "{1}"]),
+    ("rays-not-list", [{"vars": 1, "terms": [COEFF1]}, {"vertices": [["0"]], "rays": 5}],
+     ["root", "--poly", "{0}", "--at", "{1}"]),
+    ("trop-omega-dim", [{"vars": 1, "terms": [COEFF1]}], ["trop", "--poly", "{0}", "--omega", "1,2"]),
+    ("trop-omega-not-rational", [{"vars": 1, "terms": [COEFF1]}],
+     ["trop", "--poly", "{0}", "--omega", "x"]),
+    ("locals-dims", [{"vars": 1, "terms": [COEFF1, {"exp": [1], "coeff": PT1}]},
+                     [{"vertex": ["0"], "solution": {"vertices": [["0", "0"]]}}]],
+     ["glue", "--poly", "{0}", "--locals", "{1}"]),
+    ("disc-support-not-int", [[PT1, PT1, PT1]], ["disc", "--support", "a,b", "--tuple", "{0}"]),
 ]
 
 
@@ -236,7 +256,8 @@ def test_environment_fills_seed_and_cap(run, write, monkeypatch):
     monkeypatch.setenv("PSR_CAP_CELLS", "one")
     assert run("lcs", "--poly", p, "--vertex", "0")[1]["error"] == "usage"
 
-    monkeypatch.setattr("psr.cli.hausdorff_angle_distance", lambda q0, q1, seed: seed)
+    # the handler imports the function when it runs, so patch its home module
+    monkeypatch.setattr("psr.metric.hausdorff_angle_distance", lambda q0, q1, seed: seed)
     a = phd_file(write, pt(0))
     assert run("dist", "--q0", a, "--q1", a)[1] == {"distance": 0}
     monkeypatch.setenv("PSR_SEED", "11")
@@ -279,3 +300,146 @@ def test_readme_example_command():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["root"] is True  # exactly one document
+
+
+HEAVY = ("psr.localfan", "psr.vcc", "psr.globalglue", "psr.discriminants", "psr.metric")
+
+# runs each argv as `python -m psr.cli` would, then prints the psr modules loaded
+_MODULES_CHILD = """
+import contextlib, io, json, runpy, sys
+seen = []
+for argv in json.loads(sys.argv[1]):
+    sys.argv = ["psr", *argv]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
+        runpy.run_module("psr.cli", run_name="__main__")
+    seen.append(sorted(m for m in sys.modules if m.startswith("psr.")))
+print(json.dumps(seen))
+"""
+
+
+def test_commands_load_only_their_modules(write):
+    repo = Path(__file__).resolve().parents[1]
+    p, at = poly_file(write, QUAD), phd_file(write, pt(0))
+    light = [["eval", "--poly", p, "--at", at], ["root", "--poly", p, "--at", at],
+             ["generic", "--poly", p], ["trop", "--poly", p, "--omega", "1"]]
+    path = os.pathsep.join(filter(None, [str(repo / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _MODULES_CHILD,
+         json.dumps(light + [["fan", "--poly", p, "--vertex", "0"]])],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    for argv, mods in zip(light, seen):
+        assert not set(HEAVY) & set(mods), argv[0]
+    # the check sees a lazy import: `fan` loads the local solver, and only it
+    assert set(HEAVY) & set(seen[-1]) == {"psr.localfan"}
+
+
+# -- the CLI contract on mutated valid inputs --------------------------------
+#
+# A case is an argv whose ("file", obj) items become JSON files and whose
+# ("list", [...]) items become comma-separated arguments.
+
+_LOCALS = [{"vertex": ["-3"], "solution": {"vertices": [["-1"]], "rays": [["1"]]}},
+           {"vertex": ["3"], "solution": {"vertices": [["1"]], "rays": [["-1"]]}}]
+_QUAD, _LIN = jsonio.polynomial_to_json(QUAD), jsonio.polynomial_to_json(LIN)
+_SEG01, _SEG03 = jsonio.polyhedron_to_json(seg(0, 1)), jsonio.polyhedron_to_json(seg(0, 3))
+_CONE_A = {"vertices": [["0", "0"]], "rays": [["1", "0"]]}
+_CONE_B = {"vertices": [["3", "0"]], "rays": [["1", "0"], ["1", "1"]]}
+FUZZ_CASES = [
+    ["eval", "--poly", ("file", _QUAD), "--at", ("file", {"vertices": [["0"]]})],
+    ["root", "--poly", ("file", _QUAD), "--at", ("file", {"vertices": [["1"], ["3/2"]]})],
+    ["generic", "--poly", ("file", _QUAD)],
+    ["fan", "--poly", ("file", _QUAD), "--vertex", "0"],
+    ["lcs", "--poly", ("file", _QUAD), "--vertex", "0"],
+    ["solve-local", "--poly", ("file", _QUAD), "--vertex", "0"],
+    ["glue", "--poly", ("file", _LIN), "--locals", ("file", _LOCALS)],
+    ["classify", "--poly", ("file", _QUAD), "--vertex", "0"],
+    ["summand", "--q1", ("file", _SEG01), "--q0", ("file", _SEG03)],
+    ["shephard", "--q1", ("file", _SEG01), "--q0", ("file", _SEG03)],
+    ["disc", "--support", ("list", ["0", "1", "2"]), "--tuple",
+     ("file", [jsonio.polyhedron_to_json(q) for q in (seg(0, 2), seg(0, 1), pt(0))])],
+    ["trop", "--poly", ("file", _QUAD), "--omega", ("list", ["1"])],
+    ["dist", "--q0", ("file", _CONE_A), "--q1", ("file", _CONE_B), "--seed", "1"],
+]
+
+
+def _nodes(x, path):
+    yield path, x
+    if isinstance(x, dict):
+        for k, v in x.items():
+            yield from _nodes(v, path + (k,))
+    elif isinstance(x, list):
+        for i, v in enumerate(x):
+            yield from _nodes(v, path + (i,))
+
+
+def _is_vector(x) -> bool:
+    return isinstance(x, list) and bool(x) and all(isinstance(t, str) for t in x)
+
+
+def _mutate(case, mutation, data):
+    """Apply one mutation at a drawn node of a (deep-copied) case, in place."""
+    nodes = [(path, x) for i, a in enumerate(case) if isinstance(a, tuple)
+             for path, x in _nodes(a[1], (i,))]
+    eligible = {
+        "drop-key": lambda x: isinstance(x, dict) and x,
+        "change-type": lambda x: True,
+        "ragged": lambda x: isinstance(x, list) and x and all(map(_is_vector, x)),
+        "dimension": lambda x: any(_is_vector(v) for _, v in _nodes(x, ())),
+        "non-numeric": lambda x: isinstance(x, str),
+    }[mutation]
+    targets = [(path, x) for path, x in nodes if eligible(x)]
+    assume(targets)
+    path, x = targets[data.draw(st.integers(0, len(targets) - 1), label="node")]
+    if mutation == "drop-key":
+        del x[data.draw(st.sampled_from(sorted(x)), label="key")]
+    elif mutation == "ragged":
+        v = x[data.draw(st.integers(0, len(x) - 1), label="vector")]
+        if data.draw(st.booleans(), label="longer"):
+            v.append("1")
+        else:
+            v.pop()
+    elif mutation == "dimension":
+        for _, v in _nodes(x, ()):
+            if _is_vector(v):
+                v.append("1")
+    else:
+        if mutation == "change-type":
+            pool = [0, 2.5, "x", None, True, [], {}, [["0"]], {"vertices": [["0"]]}]
+            new = data.draw(st.sampled_from([y for y in pool if type(y) is not type(x)]))
+        else:
+            new = data.draw(st.sampled_from(["x", "1/0", "", "1/2/3"]), label="rational")
+        i, inner = path[0], path[1:]
+        if not inner:  # the whole file or argument
+            case[i] = (case[i][0], new)
+        else:
+            parent = case[i][1]
+            for k in inner[:-1]:
+                parent = parent[k]
+            parent[inner[-1]] = new
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(FUZZ_CASES),
+       st.sampled_from(["drop-key", "change-type", "ragged", "dimension", "non-numeric"]),
+       st.data())
+def test_contract_holds_on_mutated_inputs(case, mutation, data):
+    case = copy.deepcopy(case)
+    _mutate(case, mutation, data)
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = []
+        for i, a in enumerate(case):
+            if isinstance(a, tuple) and a[0] == "file":
+                path = Path(tmp) / f"in{i}.json"
+                path.write_text(json.dumps(a[1]))
+                a = str(path)
+            elif isinstance(a, tuple):
+                a = ",".join(map(str, a[1])) if isinstance(a[1], list) else str(a[1])
+            argv.append(a)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+    assert code in (0, 1, 2)
+    json.loads(out.getvalue())  # exactly one JSON document

@@ -200,6 +200,23 @@ def test_arrangement_cells_cover_support(rays, normals):
         assert support.contains_cone(cell)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.lists(ray3, min_size=1, max_size=4),
+       st.lists(st.tuples(*[st.integers(-1, 1)] * 3), min_size=1, max_size=4), st.data())
+def test_arrangement_repeated_hyperplanes_change_nothing(rays, normals, data):
+    support = Cone.from_rays(rays, dim=3)
+    # after its first occurrence, repeat each normal as itself, its negation
+    # or a positive multiple, anywhere later in the list
+    repeated = list(normals)
+    for h in normals:
+        copy = data.draw(st.sampled_from([h, tuple(-x for x in h), tuple(F(x, 2) for x in h)]))
+        repeated.insert(data.draw(st.integers(repeated.index(h) + 1, len(repeated))), copy)
+    cells = restrict_arrangement(support, normals)
+    assert restrict_arrangement(support, repeated) == cells
+    assert [_fields(c) for c in cells] == [
+        _fields(c) for c in cone_oracle.restrict_arrangement(support, repeated)]
+
+
 # -- differential test against the Fraction-based reference --------------------
 
 
